@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ from . import cliques as cq
 from . import search as se
 from .graphs import Graph6Error, graph6_decode, max_degree
 from .canon import canonical_form
+from .verify import Sweep
 
 SCHEMA_VERSION = 1
 
@@ -54,27 +56,27 @@ def _document(command: str, inputs: dict, outputs: dict, witnesses: list[str],
         "outputs": outputs,
         "witnesses": witnesses,
         "provenance": provenance,
-        "timing_seconds": round(time.time() - t0, 6),
+        "timing_seconds": round(time.perf_counter() - t0, 6),
     }
 
 
 def _resolve_cap(args) -> Optional[int]:
-    if getattr(args, "max_n", None) is not None:
-        return args.max_n
+    cap = args.max_n
     env = os.environ.get("CDT_MAX_N")
-    if env is not None:
+    if cap is None and env is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
-            print(f"error: CDT_MAX_N={env!r} is not an integer", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-    return None
+            raise ValueError(f"CDT_MAX_N={env!r} is not an integer") from None
+    if cap is not None and cap < 1:
+        raise ValueError(f"the enumeration cap must be at least 1, got {cap}")
+    return cap
 
 
 # -- bounds -----------------------------------------------------------------
 
 def _cmd_bounds(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.table:
         d_lo, d_hi = args.delta_range
         w_lo, w_hi = args.omega_range
@@ -135,8 +137,8 @@ def _cmd_construct(args) -> int:
             g = bd.bt_graph(args.params[0])
         else:  # gstar
             g = bd.g_star()
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except IndexError:
+        print(f"error: construct {args.kind} needs more parameters", file=sys.stderr)
         return EXIT_USAGE
     print(canonical_form(g).decode("ascii"))
     return EXIT_OK
@@ -169,7 +171,9 @@ def _analyze_one(g, t: int, dmax: Optional[int], omega: Optional[int]) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
+    if args.t < 1:
+        raise ValueError("clique size must be at least 1")
     reports = []
     for lineno, line in enumerate(sys.stdin, start=1):
         text = line.strip()
@@ -213,7 +217,7 @@ def _cmd_analyze(args) -> int:
 # -- search -------------------------------------------------------------------
 
 def _cmd_search(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.n is not None:
         n_lo = n_hi = args.n
     else:
@@ -294,54 +298,21 @@ def _verify_formulas() -> bool:
     return _check("turan closed form vs direct count (n <= 9)", ok) and ok
 
 
-def _verify_lemmas() -> bool:
+@functools.lru_cache(maxsize=1)
+def _sweep() -> Sweep:
+    """The lemma sweep shared by the suites of one `cdt verify` run."""
+    return Sweep(7).run()
+
+
+def _verify_sweep(*keys: str) -> bool:
+    sweep = _sweep()
+    checks = sweep.checks()
     ok = True
-    bad: list[str] = []
-    def visit(g):
-        nonlocal ok
-        counts = cq.clique_size_counts(g)
-        weights = cq.per_vertex_clique_counts(g)
-        for t in range(1, g.n + 1):
-            if sum(w[t] for w in weights) != t * counts[t]:
-                ok = False
-                bad.append(canonical_form(g).decode("ascii"))
-    se.enumerate_all_up_to(6, 6, 7, visit)
-    res = _check("handshake identity (n <= 6)", ok, " ".join(bad[:3]))
-    det, dbad = _detach_soundness(6)
-    res = _check("detachability sufficiency soundness (n <= 6)", det, " ".join(dbad[:3])) and res
-    return res
-
-
-def _detach_soundness(n_max: int) -> tuple[bool, list[str]]:
-    ok = True
-    bad: list[str] = []
-
-    def visit(g):
-        nonlocal ok
-        dmax = max_degree(g)
-        full = g.vertex_mask()
-        for subset in range(1, full + 1):
-            profile = cq.border_profile(g, subset, dmax)
-            for t in range(2, g.n + 1):
-                if cq.detach_sufficient(profile, t) and not cq.is_detachable(g, subset, t):
-                    ok = False
-                    bad.append(canonical_form(g).decode("ascii"))
-                    return
-
-    se.enumerate_all_up_to(n_max, n_max, n_max + 1, visit)
-    return ok, bad
-
-
-def _verify_zykov() -> bool:
-    ok = True
-    for n in range(1, 7):
-        for omega in range(1, 5):
-            for t in range(2, 5):
-                failures: list[str] = []
-                if not se.verify_zykov(n, omega, t, failures):
-                    ok = _check(f"turan maximizer ({n},{omega},{t})", False,
-                                " ".join(failures[:3])) and ok
-    return _check("bounded-clique maximizer & uniqueness (n <= 6)", ok) and ok
+    for key in keys:
+        c = checks[key]
+        ok = _check(f"{c.name} (n <= {sweep.n_max}, {c.covered} graphs)", c.ok,
+                    " ".join(c.failures[:3])) and ok
+    return ok
 
 
 def _verify_monotone() -> bool:
@@ -351,16 +322,6 @@ def _verify_monotone() -> bool:
             if not bd.rho_monotone_check(omega, t, 120):
                 ok = _check(f"turan density monotone (omega={omega}, t={t})", False) and ok
     return _check("turan density monotone in n (n <= 120, omega <= 8)", ok) and ok
-
-
-def _verify_superadd() -> bool:
-    ok = True
-    for dmax, omega, t in ((4, 4, 3), (5, 3, 3)):
-        failures: list[str] = []
-        if not se.verify_superadditivity(dmax, omega, t, 7, failures):
-            ok = _check(f"superadditivity ({dmax},{omega},t={t})", False,
-                        "; ".join(failures[:2])) and ok
-    return _check("superadditivity of max clique counts (n <= 7)", ok) and ok
 
 
 def _verify_neighborhoods() -> bool:
@@ -375,16 +336,18 @@ def _verify_neighborhoods() -> bool:
 
 _SUITES = {
     "formulas": _verify_formulas,
-    "lemmas": _verify_lemmas,
-    "zykov": _verify_zykov,
+    "lemmas": functools.partial(_verify_sweep, "handshake", "ceiling", "equality",
+                                "heavy-neighbour", "configurations", "detachability"),
+    "zykov": functools.partial(_verify_sweep, "zykov"),
     "monotone": _verify_monotone,
-    "superadd": _verify_superadd,
+    "superadd": functools.partial(_verify_sweep, "superadd"),
     "neighborhoods": _verify_neighborhoods,
 }
 
 
 def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    _sweep.cache_clear()  # a fresh sweep per invocation
     all_ok = True
     for name in names:
         all_ok = _SUITES[name]() and all_ok
@@ -464,6 +427,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except se.CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except ValueError as exc:  # GraphError and Graph6Error included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -147,51 +147,57 @@ def _expand(n_p: int, adj_p: Sequence[int], dmax: int, omega: int) -> Iterator[t
             yield adj_c
 
 
-# -- depth-first sweeps ---------------------------------------------------
+# -- the depth-first walker ------------------------------------------------
 
-def _dfs_visit(
-    n_cur: int,
-    adj_cur: tuple[int, ...],
+def _walk(
+    n: int,
+    adj: tuple[int, ...],
     n_max: int,
     dmax: int,
     omega: int,
-    visit: Callable[[int, tuple[int, ...]], None],
+    visit: Callable[[int, tuple[int, ...]], bool],
 ) -> None:
-    visit(n_cur, adj_cur)
-    if n_cur >= n_max:
+    """Visit ``adj`` and, when ``visit`` returns True, every class in its
+    subtree up to ``n_max`` vertices."""
+    if not visit(n, adj) or n >= n_max:
         return
-    for adj_c in _expand(n_cur, adj_cur, dmax, omega):
-        _dfs_visit(n_cur + 1, adj_c, n_max, dmax, omega, visit)
+    for adj_c in _expand(n, adj, dmax, omega):
+        _walk(n + 1, adj_c, n_max, dmax, omega, visit)
 
 
 class _Agg:
-    """Per-level counts, best t-clique count, and all maximizers."""
+    """Stats visitor for `_walk`: per-level counts, best t-clique count and
+    all maximizers.  Split-level nodes go on ``frontier`` for pool tasks.
+    ``bound`` = (num, den, ceil_per_vertex, n_target) cuts a subtree that
+    cannot reach density num/den: each added vertex carries at most
+    ceil_per_vertex t-cliques, and density is largest at the largest size."""
 
-    __slots__ = ("t", "levels")
+    __slots__ = ("t", "bound", "split", "levels", "frontier")
 
-    def __init__(self, t: int):
+    def __init__(self, t: int, bound: Optional[tuple] = None, split: int = -1):
         self.t = t
+        self.bound = bound
+        self.split = split
         # n -> [count, best_kt, witness adjacency tuples]
         self.levels: dict[int, list] = {}
+        self.frontier: list[tuple[int, ...]] = []
 
-    def add(self, n: int, adj: tuple[int, ...], kt: int) -> None:
+    def visit(self, n: int, adj: tuple[int, ...]) -> bool:
+        if n == self.split:
+            self.frontier.append(adj)
+            return False
+        kt = _count_of_size(adj, (1 << n) - 1, self.t)
+        self.add(n, 1, kt, (adj,))
+        if self.bound is None:
+            return True
+        num, den, ceil_pv, n_target = self.bound
+        return (kt + ceil_pv * (n_target - n)) * den >= num * n_target
+
+    def add(self, n: int, cnt: int, best: int, wits) -> None:
         lv = self.levels.get(n)
         if lv is None:
-            self.levels[n] = [1, kt, [adj]]
+            self.levels[n] = [cnt, best, list(wits)]
         else:
-            lv[0] += 1
-            if kt > lv[1]:
-                lv[1] = kt
-                lv[2] = [adj]
-            elif kt == lv[1]:
-                lv[2].append(adj)
-
-    def merge(self, other_levels: dict[int, list]) -> None:
-        for n, (cnt, best, wits) in other_levels.items():
-            lv = self.levels.get(n)
-            if lv is None:
-                self.levels[n] = [cnt, best, list(wits)]
-                continue
             lv[0] += cnt
             if best > lv[1]:
                 lv[1] = best
@@ -200,50 +206,10 @@ class _Agg:
                 lv[2].extend(wits)
 
 
-def _make_prune(prune_target: Fraction, ceil_per_vertex: int, n_target: int):
-    """Branch bound: every additional vertex carries at most
-    ceil_per_vertex t-cliques, and the density of any completion is
-    maximized at the largest size, so a subtree whose bound falls below
-    the target cannot reach it at any level."""
-    num, den = prune_target.numerator, prune_target.denominator
-
-    def prune(n_cur: int, kt: int) -> bool:
-        return (kt + ceil_per_vertex * (n_target - n_cur)) * den < num * n_target
-
-    return prune
-
-
-def _dfs_stats(
-    n_cur: int,
-    adj_cur: tuple[int, ...],
-    n_max: int,
-    dmax: int,
-    omega: int,
-    t: int,
-    agg: _Agg,
-    prune,
-    frontier: Optional[list],
-    frontier_level: int,
-) -> None:
-    kt = _count_of_size(adj_cur, (1 << n_cur) - 1, t)
-    agg.add(n_cur, adj_cur, kt)
-    if frontier is not None and n_cur == frontier_level:
-        frontier.append(adj_cur)
-        return
-    if n_cur >= n_max:
-        return
-    if prune is not None and prune(n_cur, kt):
-        return
-    for adj_c in _expand(n_cur, adj_cur, dmax, omega):
-        _dfs_stats(n_cur + 1, adj_c, n_max, dmax, omega, t, agg, prune, frontier, frontier_level)
-
-
 def _subtree_worker(args) -> dict[int, list]:
-    adj_root, n_root, n_max, dmax, omega, t, prune_args = args
-    agg = _Agg(t)
-    prune = _make_prune(Fraction(*prune_args[:2]), *prune_args[2:]) if prune_args else None
-    for adj_c in _expand(n_root, adj_root, dmax, omega):
-        _dfs_stats(n_root + 1, adj_c, n_max, dmax, omega, t, agg, prune, None, -1)
+    adj_root, n_root, n_max, dmax, omega, t, bound = args
+    agg = _Agg(t, bound)
+    _walk(n_root, adj_root, n_max, dmax, omega, agg.visit)
     return agg.levels
 
 
@@ -259,27 +225,23 @@ def _search_levels(
     prune_target: Optional[Fraction] = None,
 ) -> dict[int, list]:
     """Stats for every level 1..n_max; deterministic for any worker count."""
-    agg = _Agg(t)
     if n_max < 1:
-        return agg.levels
-    prune = None
-    prune_args = None
+        return {}
+    bound = None
     if prune_target is not None:
         ceil_pv = turan_clique_count(dmax, max(omega - 1, 1), t - 1)
-        prune = _make_prune(prune_target, ceil_pv, n_max)
-        prune_args = (prune_target.numerator, prune_target.denominator, ceil_pv, n_max)
-    start = (0,)
-    split = _SPLIT_LEVEL
-    if thread_count <= 1 or n_max <= split:
-        _dfs_stats(1, start, n_max, dmax, omega, t, agg, prune, None, -1)
+        bound = (prune_target.numerator, prune_target.denominator, ceil_pv, n_max)
+    split = _SPLIT_LEVEL if thread_count > 1 and n_max > _SPLIT_LEVEL else -1
+    agg = _Agg(t, bound, split)
+    _walk(1, (0,), n_max, dmax, omega, agg.visit)
+    if split < 0:
         return agg.levels
-    frontier: list[tuple[int, ...]] = []
-    _dfs_stats(1, start, n_max, dmax, omega, t, agg, prune, frontier, split)
-    tasks = [(adj, split, n_max, dmax, omega, t, prune_args) for adj in frontier]
+    tasks = [(adj, split, n_max, dmax, omega, t, bound) for adj in agg.frontier]
     ctx = get_context("fork")
     with ctx.Pool(processes=thread_count) as pool:
         for part in pool.imap(_subtree_worker, tasks, chunksize=1):
-            agg.merge(part)
+            for n, lv in part.items():
+                agg.add(n, *lv)
     return agg.levels
 
 
@@ -323,7 +285,7 @@ class SearchReport:
         raise KeyError(n)
 
 
-def _finalize_levels(levels: dict[int, list], t: int) -> list[LevelResult]:
+def _finalize_levels(levels: dict[int, list]) -> list[LevelResult]:
     out = []
     for n in sorted(levels):
         cnt, best, wits = levels[n]
@@ -347,10 +309,12 @@ def best_up_to(
         raise ValueError("need at least one vertex")
     if t < 2:
         raise ValueError("clique size must be at least 2")
+    if dmax < 0:
+        raise ValueError("degree bound must be non-negative")
     _check_cap(n_max, cap)
-    t0 = time.time()
+    t0 = time.perf_counter()
     levels = _search_levels(n_max, dmax, omega, t, thread_count, prune_target)
-    out = _finalize_levels(levels, t)
+    out = _finalize_levels(levels)
     best = max(lv.max_density for lv in out)
     best_n = min(lv.n for lv in out if lv.max_density == best)
     meets_lower = None
@@ -371,7 +335,7 @@ def best_up_to(
         exact_known=exact_known,
         meets_exact=meets_exact,
         pruned=prune_target is not None,
-        wall_time=time.time() - t0,
+        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -406,14 +370,15 @@ def enumerate_class(
         return 1
     count = 0
 
-    def visit(level: int, adj: tuple[int, ...]) -> None:
+    def visit(level: int, adj: tuple[int, ...]) -> bool:
         nonlocal count
         if level == n:
             count += 1
             if visitor is not None:
                 visitor(Graph(level, adj))
+        return True
 
-    _dfs_visit(1, (0,), n, dmax, omega, visit)
+    _walk(1, (0,), n, dmax, omega, visit)
     return count
 
 
@@ -429,17 +394,28 @@ def enumerate_all_up_to(
     _check_cap(n_max, cap)
     count = 0
 
-    def visit(level: int, adj: tuple[int, ...]) -> None:
+    def visit(level: int, adj: tuple[int, ...]) -> bool:
         nonlocal count
         count += 1
         visitor(Graph(level, adj))
+        return True
 
     if n_max >= 1:
-        _dfs_visit(1, (0,), n_max, dmax, omega, visit)
+        _walk(1, (0,), n_max, dmax, omega, visit)
     return count
 
 
 # -- brute-force theorem verification ---------------------------------------
+
+def _turan_maximizes(n: int, omega: int, t: int, best: int, wits: list) -> bool:
+    """Is ``best`` the t-clique count of T(n, omega), attained by the
+    Turan graph alone whenever it is nonzero?"""
+    expected = turan_clique_count(n, omega, t)
+    if best != expected or expected == 0:
+        return best == expected
+    forms = sorted(canonical_form(Graph(n, adj)) for adj in wits)
+    return forms == [canonical_form(turan_graph(n, omega))]
+
 
 def verify_zykov(
     n: int,
@@ -453,13 +429,8 @@ def verify_zykov(
     if n < 1 or omega < 1 or t < 2:
         raise ValueError("need n >= 1, omega >= 1, t >= 2")
     _check_cap(n, None)
-    levels = _search_levels(n, n, omega, t)
-    cnt, best, wits = levels[n]
-    expected = turan_clique_count(n, omega, t)
-    ok = best == expected
-    if ok and expected > 0:
-        forms = sorted(canonical_form(Graph(n, adj)) for adj in wits)
-        ok = forms == [canonical_form(turan_graph(n, omega))]
+    cnt, best, wits = _search_levels(n, n, omega, t)[n]
+    ok = _turan_maximizes(n, omega, t, best, wits)
     if not ok and failures is not None:
         failures.extend(
             canonical_form(Graph(n, adj)).decode("ascii") for adj in wits
@@ -509,19 +480,13 @@ class LemmaReport:
         return all(c.ok for c in self.checks)
 
 
-def _complete_minus_triangle(m: int) -> Graph:
-    g = complete_graph(m)
-    adj = list(g.adj)
-    for u, v in ((0, 1), (0, 2), (1, 2)):
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-    return Graph(m, adj)
+_TRIANGLE = ((0, 1), (0, 2), (1, 2))
+_PATH4 = ((0, 1), (1, 2), (2, 3))
 
 
-def _complete_minus_path4(m: int) -> Graph:
-    g = complete_graph(m)
-    adj = list(g.adj)
-    for u, v in ((0, 1), (1, 2), (2, 3)):
+def _complete_minus(m: int, edges) -> Graph:
+    adj = list(complete_graph(m).adj)
+    for u, v in edges:
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
     return Graph(m, adj)
@@ -555,7 +520,7 @@ def verify_neighborhood_lemmas(r_values: Sequence[int]) -> LemmaReport:
                     found.append(canonical_form(g).decode("ascii"))
         expected = sorted(
             canonical_form(h).decode("ascii")
-            for h in (_complete_minus_triangle(r + 2), _complete_minus_path4(r + 2))
+            for h in (_complete_minus(r + 2, _TRIANGLE), _complete_minus(r + 2, _PATH4))
         )
         checks.append(LemmaCheck("three-max-cliques", r, sorted(found) == expected, sorted(found), expected))
 
@@ -610,7 +575,7 @@ def verify_neighborhood_lemmas(r_values: Sequence[int]) -> LemmaReport:
                         found.append(canonical_form(g).decode("ascii"))
             expected = sorted(
                 canonical_form(h).decode("ascii")
-                for h in (_complete_minus_triangle(r + 1), _complete_minus_path4(r + 1))
+                for h in (_complete_minus(r + 1, _TRIANGLE), _complete_minus(r + 1, _PATH4))
             )
             checks.append(LemmaCheck("near-max-weight-window", r, sorted(found) == expected, sorted(found), expected))
     return LemmaReport(checks)

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, exact tolerances, with a
 PASS/FAIL line printed per criterion (run with -s or -v to see them).
 
-The expensive exhaustive checks share a single stacked-visitor sweep
-over every isomorphism class on up to 9 vertices.
+Criterion 9 runs the stacked-visitor sweep of `cdt.verify` over every
+isomorphism class on up to 9 vertices.
 """
 
 import os
@@ -17,9 +17,7 @@ from cdt import (
     bt_graph,
     canonical_form,
     clique_size_counts,
-    find_configurations,
     g_star,
-    induced,
     lower_bound,
     probe_conjecture,
     rho_monotone_check,
@@ -29,9 +27,7 @@ from cdt import (
     upper_bound,
     verify_neighborhood_lemmas,
 )
-from cdt.cliques import _per_vertex_size_counts, _size_counts
-from cdt.search import enumerate_all_up_to
-from cdt.graphs import bits
+from cdt.verify import Sweep
 
 
 def _crit(num: int, desc: str, budget_s: float):
@@ -159,142 +155,11 @@ def test_criterion_8_sandwich_and_asymptotics():
 
 # -- criterion 9: the exhaustive lemma sweep -------------------------------------------
 
-_CEILING_PAIRS = ((5, 3), (5, 4), (6, 5), (6, 6))
-_SUPERADD_CASES = ((4, 4, 3), (5, 3, 3), (5, 4, 3), (6, 5, 3))
-
-
-class _Sweep:
-    """Stacked checks over one isomorph-free pass of all graphs n <= 9."""
-
-    def __init__(self, n_max: int = 9):
-        self.n_max = n_max
-        self.graphs_seen = 0
-        self.handshake_bad: list[str] = []
-        self.ceiling_bad: list[str] = []
-        self.equality_without_turan_neighborhood: list[str] = []
-        self.seven_neighbor_bad: list[str] = []
-        self.config_overlap_bad: list[str] = []
-        self.detach_bad: list[str] = []
-        # (n, omega, t) -> [max count, list of maximizer adjacency tuples]
-        self.zykov: dict = {}
-        # (dmax, omega, t) -> {n: max count}
-        self.superadd: dict = {case: {} for case in _SUPERADD_CASES}
-        self.ceilings = {
-            (d, w): [turan_clique_count(d, w - 1, t - 1) if t >= 1 else 0 for t in range(11)]
-            for d, w in _CEILING_PAIRS
-        }
-        self.turan_nbhd_form = {
-            (d, w): canonical_form(turan_graph(d, w - 1)) for d, w in _CEILING_PAIRS
-        }
-
-    def visit(self, g) -> None:
-        self.graphs_seen += 1
-        n = g.n
-        adj = g.adj
-        full = g.vertex_mask()
-        counts = _size_counts(adj, full)
-        weights = _per_vertex_size_counts(n, adj)
-        omega_g = max(t for t in range(n + 1) if counts[t])
-        dmax_g = max((row.bit_count() for row in adj), default=0)
-
-        # handshake: vertex weights sum to t times the clique count
-        for t in range(1, n + 1):
-            if sum(w[t] for w in weights) != t * counts[t]:
-                self.handshake_bad.append(canonical_form(g).decode("ascii"))
-                break
-
-        max_w = [0] * (n + 1)
-        for w in weights:
-            for t in range(2, n + 1):
-                if w[t] > max_w[t]:
-                    max_w[t] = w[t]
-
-        for d, wbound in _CEILING_PAIRS:
-            if dmax_g > d or omega_g > wbound:
-                continue
-            ceil = self.ceilings[(d, wbound)]
-            for t in range(2, n + 1):
-                if max_w[t] > ceil[t]:
-                    self.ceiling_bad.append(canonical_form(g).decode("ascii"))
-                    break
-            # attaining the ceiling at a size with room forces the
-            # extremal neighborhood
-            for t in range(3, min(n, wbound) + 1):
-                if ceil[t] == 0:
-                    continue
-                for v in range(n):
-                    if weights[v][t] == ceil[t]:
-                        nb = canonical_form(induced(g, adj[v]))
-                        if nb != self.turan_nbhd_form[(d, wbound)]:
-                            self.equality_without_turan_neighborhood.append(
-                                canonical_form(g).decode("ascii")
-                            )
-
-        # every heavy vertex has a light neighbor (degree 5 / clique 4)
-        if n >= 3 and dmax_g <= 5 and omega_g <= 4:
-            for v in range(n):
-                if weights[v][3] == 7:
-                    if not any(weights[x][3] <= 5 for x in bits(adj[v])):
-                        self.seven_neighbor_bad.append(canonical_form(g).decode("ascii"))
-
-        # configurations are pairwise disjoint in the degree-r clique-r class
-        for r in (6, 7):
-            if dmax_g <= r and omega_g <= r and n >= r + 1:
-                cfgs = find_configurations(g, r)
-                for i in range(len(cfgs)):
-                    for j in range(i + 1, len(cfgs)):
-                        if cfgs[i].vertices & cfgs[j].vertices:
-                            self.config_overlap_bad.append(canonical_form(g).decode("ascii"))
-
-        # detachability sufficiency soundness, exhaustive over subsets
-        if n <= 8:
-            from cdt.cliques import border_profile, detach_sufficient, is_detachable
-
-            for subset in range(1, full + 1):
-                prof = border_profile(g, subset, dmax_g)
-                for t in range(2, n + 1):
-                    if detach_sufficient(prof, t) and not is_detachable(g, subset, t):
-                        self.detach_bad.append(canonical_form(g).decode("ascii"))
-                        break
-
-        # per-class maxima for the Turan-maximizer and superadditivity gates
-        if n <= 8:
-            for wbound in range(1, 5):
-                if omega_g > wbound:
-                    continue
-                for t in range(2, 5):
-                    key = (n, wbound, t)
-                    kt = counts[t] if t <= n else 0
-                    cur = self.zykov.get(key)
-                    if cur is None or kt > cur[0]:
-                        self.zykov[key] = [kt, [adj]]
-                    elif kt == cur[0]:
-                        cur[1].append(adj)
-            for d, wbound, t in _SUPERADD_CASES:
-                if dmax_g <= d and omega_g <= wbound:
-                    kt = counts[t] if t <= n else 0
-                    table = self.superadd[(d, wbound, t)]
-                    if kt > table.get(n, -1):
-                        table[n] = kt
-
-
-_sweep_result = None
-
-
-def _get_sweep() -> _Sweep:
-    global _sweep_result
-    if _sweep_result is None:
-        sweep = _Sweep(9)
-        enumerate_all_up_to(9, 9, 10, sweep.visit)
-        _sweep_result = sweep
-    return _sweep_result
-
-
 @_crit(9, "lemma suites by exhaustion over all graphs with up to 9 vertices", 1800)
 def test_criterion_9_lemma_suites():
     from cdt import Graph
 
-    sweep = _get_sweep()
+    sweep = Sweep(9).run()
     assert sweep.graphs_seen == sum((1, 2, 4, 11, 34, 156, 1044, 12346, 274668))
     assert sweep.handshake_bad == []
     assert sweep.ceiling_bad == []
@@ -316,6 +181,7 @@ def test_criterion_9_lemma_suites():
         for x in range(1, 8):
             for y in range(x, 9 - x):
                 assert table[x + y] >= table[x] + table[y], (case, x, y)
+    assert all(check.ok for check in sweep.checks().values())
 
 
 # -- criterion 10 --------------------------------------------------------------------

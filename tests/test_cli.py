@@ -216,6 +216,21 @@ def test_search_trivial_class_max_zero(capsys):
     assert doc["outputs"]["best_density"]["exact"] == "0"
 
 
+@pytest.mark.parametrize("argv", [
+    "bounds -t 1 -d 5 -w 3",
+    "bounds -t 3 -d 0 -w 3",
+    "bounds -t 3 --table --delta-range 0:2",
+    "search -n 8 -d 5 -w 3 -t 1",
+    "search -n 0 -d 5 -w 3 -t 3",
+    "search -n 5 -d -1 -w 3 -t 3",
+    "search -n 5 -d 3 -w 3 -t 3 --max-n -2",
+    "analyze -t 0",
+])
+def test_invalid_parameters_exit_2(capsys, argv):
+    code, _, err = run(capsys, argv.split())
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_search_invalid_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["search", "-d", "3", "-w", "3", "-t", "3"])  # no -n
@@ -244,6 +259,15 @@ def test_verify_lemmas_passes(capsys):
     code, out, _ = run(capsys, ["verify", "lemmas"])
     assert code == 0
     assert "handshake" in out
+    assert "ok   handshake identity (n <= 7, 1252 graphs)" in out.splitlines()
+
+
+def test_verify_lemmas_catches_planted_fault(capsys, monkeypatch):
+    monkeypatch.setattr(cdt.cliques, "is_detachable", lambda g, subset, t: False)
+    code, out, _ = run(capsys, ["verify", "lemmas"])
+    fail = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 5 and len(fail) == 1 and "detachability" in fail[0]
+    assert cdt.graph6_decode(fail[0].split(": ")[1].split()[0]).n >= 1
 
 
 def test_verify_unknown_suite_exit_2():

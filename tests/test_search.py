@@ -156,19 +156,17 @@ def test_report_levels_are_complete_and_sorted():
 
 
 def test_results_identical_across_worker_counts():
-    reports = [
-        best_up_to(7, 5, 3, 3, thread_count=k) for k in (1, 2, 8)
+    cases = [
+        ((7, 5, 3, 3), None, (1, 2, 8)),
+        ((9, 7, 3, 3), bt_density(3), (1, 2)),  # pool tasks prune their subtrees
     ]
-    base = reports[0]
-    for other in reports[1:]:
-        assert [
-            (lv.n, lv.graphs_enumerated, lv.max_clique_count, lv.witnesses)
-            for lv in base.levels
-        ] == [
-            (lv.n, lv.graphs_enumerated, lv.max_clique_count, lv.witnesses)
-            for lv in other.levels
-        ]
-        assert base.best_density == other.best_density
+    for args, prune_target, workers in cases:
+        results = []
+        for k in workers:
+            report = best_up_to(*args, thread_count=k, prune_target=prune_target)
+            results.append(([(lv.n, lv.graphs_enumerated, lv.max_clique_count, lv.witnesses)
+                             for lv in report.levels], report.best_density))
+        assert results == [results[0]] * len(workers), args
 
 
 # -- theorem verification ----------------------------------------------------
