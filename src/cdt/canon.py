@@ -13,6 +13,13 @@ elements fixing the current individualization prefix pointwise) are
 skipped, which collapses the factorial blow-up on highly symmetric
 graphs such as edgeless or complete multipartite ones.
 
+Refinement re-keys every vertex by its old color and its neighbor
+count in each cell.  The key is packed into one int, in base n+1 with
+the old color as the leading digit: every entry is at most n and all
+keys of a round have the same length, so numeric order is the
+lexicographic order of the (color, counts...) tuples, and sorting ints
+replaces sorting tuples.
+
 Everything here works on raw (n, adjacency-row tuple) pairs so the
 enumeration engine can stay allocation-light; thin wrappers accept
 Graph values.
@@ -32,27 +39,43 @@ def refine_colors(n: int, adj: Sequence[int], colors: Optional[list[int]] = None
     order: vertices are re-keyed each round by (old color, neighbor
     count per color class) and the sorted distinct keys become the new
     ids.  The synchronous update keeps the cell order canonical.
+
+    From the unit coloring the first round ranks vertices by degree,
+    ascending, and every later round keeps the old color as the
+    primary key, so the last cell holds only maximum-degree vertices.
+    The canonical-parent check in `cdt.search._accept` relies on this.
     """
-    if colors is None:
-        colors = [0] * n
     if n == 0:
         return []
-    while True:
-        ids = sorted(set(colors))
-        idx = {c: i for i, c in enumerate(ids)}
-        masks = [0] * len(ids)
+    if colors is None:
+        # round one from the unit coloring: ranked degrees
+        colors = [a.bit_count() for a in adj]
+    ids = sorted(set(colors))
+    k = len(ids)
+    if ids[0] == 0 and ids[-1] == k - 1:
+        colors = list(colors)  # already ranks; never alias the input
+    else:
+        rank = {c: i for i, c in enumerate(ids)}
+        colors = [rank[c] for c in colors]
+    base = n + 1
+    while k < n:
+        masks = [0] * k
         for v in range(n):
-            masks[idx[colors[v]]] |= 1 << v
+            masks[colors[v]] |= 1 << v
         sigs = []
         for v in range(n):
             a = adj[v]
-            sigs.append((idx[colors[v]], tuple((a & m).bit_count() for m in masks)))
+            key = colors[v]
+            for m in masks:
+                key = key * base + (a & m).bit_count()
+            sigs.append(key)
         order = sorted(set(sigs))
-        if len(order) == len(ids):
-            # stable: no cell split, return the normalized ranks
-            return [sigs[v][0] for v in range(n)]
+        if len(order) == k:
+            break  # stable: no cell split
         rank = {s: i for i, s in enumerate(order)}
-        colors = [rank[sigs[v]] for v in range(n)]
+        colors = [rank[s] for s in sigs]
+        k = len(order)
+    return colors
 
 
 def _permutation_between(lab_a: list[int], lab_b: list[int], n: int) -> tuple[int, ...]:
@@ -130,7 +153,7 @@ def canon_raw(
         if form < best_form:
             best_form, best_lab = form, lab
 
-    def rec(colors: list[int], base: list[int]) -> None:
+    def rec(colors: Optional[list[int]], base: list[int]) -> None:
         colors = refine_colors(n, adj, colors)
         ncolors = max(colors) + 1
         if ncolors == n:
@@ -142,11 +165,17 @@ def canon_raw(
         target = next(i for i in range(ncolors) if counts[i] > 1)
         cell = [v for v in range(n) if colors[v] == target]
         branched: list[int] = []
+        # ``base`` is restored after each child and ``gens`` only grows,
+        # so the stabilizer's orbits change only when a generator is new
+        ngens = -1
+        parent: Optional[list[int]] = None
         for v in cell:
             if branched:
-                stab = [g for g in gens if all(g[b] == b for b in base)]
-                if stab:
-                    parent = _orbit_partition(n, stab)
+                if len(gens) != ngens:
+                    ngens = len(gens)
+                    stab = [g for g in gens if all(g[b] == b for b in base)]
+                    parent = _orbit_partition(n, stab) if stab else None
+                if parent is not None:
                     rv = _orbit_find(parent, v)
                     if any(_orbit_find(parent, u) == rv for u in branched):
                         continue
@@ -157,7 +186,10 @@ def canon_raw(
             rec(child, base)
             base.pop()
 
-    rec(colors if colors is not None else [0] * n, [])
+    rec(colors, [])
+    # rec holds itself through its closure cell; clearing the cell frees
+    # the graph and the search state now, not at the next cyclic collection
+    del rec
     assert best_form is not None
     return best_lab, best_form, gens
 

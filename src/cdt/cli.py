@@ -80,16 +80,18 @@ def _cmd_bounds(args) -> int:
     if args.table:
         d_lo, d_hi = args.delta_range
         w_lo, w_hi = args.omega_range
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["delta", "omega", "lower", "upper", "exact", "provenance"])
+        # every row is built before any is written: a bad cell exits 2
+        # with nothing on stdout
+        rows = [["delta", "omega", "lower", "upper", "exact", "provenance"]]
         for dmax in range(d_lo, d_hi + 1):
             for omega in range(w_lo, w_hi + 1):
                 rep = bd.bounds_report(args.t, dmax, omega)
-                writer.writerow([
+                rows.append([
                     dmax, omega, rep.lower, rep.upper,
                     rep.exact if rep.exact is not None else "",
                     rep.provenance,
                 ])
+        csv.writer(sys.stdout).writerows(rows)
         return EXIT_OK
     rep = bd.bounds_report(args.t, args.dmax, args.omega)
     if args.json:

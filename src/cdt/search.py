@@ -102,13 +102,17 @@ def _accept(n: int, adj: Sequence[int]) -> bool:
     to the canonical deletion vertex?
 
     The deletion vertex is the one the canonical labeling puts last; it
-    always lies in the last cell of the equitable refinement, so a
-    refinement pass alone rejects most candidates and settles singleton
-    cells without a full canonical labeling.
+    always lies in the last cell of the equitable refinement, which
+    holds only maximum-degree vertices.  A degree comparison rejects
+    most candidates, a refinement pass rejects most of the rest and
+    settles singleton cells, and only then is a full canonical
+    labeling computed.
     """
-    colors = refine_colors(n, adj)
-    last = n - 1 if not colors else max(colors)
     w = n - 1
+    if max(map(int.bit_count, adj)) > adj[w].bit_count():
+        return False
+    colors = refine_colors(n, adj)
+    last = max(colors)
     if colors[w] != last:
         return False
     if colors.count(last) == 1:

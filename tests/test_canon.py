@@ -2,7 +2,9 @@
 
 The oracle throughout is permutation brute force, which is feasible up
 to 6 vertices and keeps these checks independent of the refinement
-machinery under test.
+machinery under test.  The refinement itself is checked against
+`_reference_refine`, the earlier tuple-keyed implementation kept here
+verbatim.
 """
 
 import random
@@ -10,6 +12,7 @@ from itertools import permutations
 
 from cdt import (
     canonical_form,
+    enumerate_all_up_to,
     canonical_graph,
     complete_graph,
     cycle_graph,
@@ -21,7 +24,13 @@ from cdt import (
     union,
 )
 from cdt.bounds import bt_graph, g_star
-from cdt.canon import automorphism_generators, automorphism_orbits, canon_raw, _orbit_partition
+from cdt.canon import (
+    automorphism_generators,
+    automorphism_orbits,
+    canon_raw,
+    refine_colors,
+    _orbit_partition,
+)
 
 from helpers import all_labeled_graphs, brute_canonical, random_graph, random_permutation
 
@@ -161,3 +170,65 @@ def test_highly_symmetric_graphs_stay_fast():
         lab, form, gens = canon_raw(g.n, g.adj)
         parent = _orbit_partition(g.n, gens)
         assert len(set(parent)) <= 2  # at most two orbits in all four cases
+
+
+def _reference_refine(n, adj, colors=None):
+    """Tuple-keyed refinement that `refine_colors` must reproduce exactly."""
+    if colors is None:
+        colors = [0] * n
+    if n == 0:
+        return []
+    while True:
+        ids = sorted(set(colors))
+        idx = {c: i for i, c in enumerate(ids)}
+        masks = [0] * len(ids)
+        for v in range(n):
+            masks[idx[colors[v]]] |= 1 << v
+        sigs = []
+        for v in range(n):
+            a = adj[v]
+            sigs.append((idx[colors[v]], tuple((a & m).bit_count() for m in masks)))
+        order = sorted(set(sigs))
+        if len(order) == len(ids):
+            # stable: no cell split, return the normalized ranks
+            return [sigs[v][0] for v in range(n)]
+        rank = {s: i for i, s in enumerate(order)}
+        colors = [rank[sigs[v]] for v in range(n)]
+
+
+def _every_graph_up_to_7():
+    """Every class on <= 7 vertices, as generated and once relabeled,
+    and every labeled graph on 1..5 vertices."""
+    rng = random.Random(7)
+    out = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
+
+    def visit(g):
+        out.append(g)
+        out.append(relabel(g, random_permutation(g.n, rng)))
+
+    assert enumerate_all_up_to(7, 7, 8, visit) == 1252
+    return out
+
+
+def test_refine_colors_matches_reference():
+    rng = random.Random(11)
+    for g in _every_graph_up_to_7():
+        assert refine_colors(g.n, g.adj) == _reference_refine(g.n, g.adj)
+        # even colors with one odd, as canon_raw individualizes a vertex
+        colors = [2 * rng.randrange(g.n) for _ in range(g.n)]
+        colors[rng.randrange(g.n)] -= 1
+        want = _reference_refine(g.n, g.adj, list(colors))
+        assert refine_colors(g.n, g.adj, list(colors)) == want
+        # already ranks, and the input list is left untouched
+        before = list(want)
+        assert refine_colors(g.n, g.adj, want) == _reference_refine(g.n, g.adj, before)
+        assert want == before
+
+
+def test_last_cell_holds_only_maximum_degree_vertices():
+    # search._accept rejects by degree before refining on this invariant
+    for g in _every_graph_up_to_7():
+        colors = refine_colors(g.n, g.adj)
+        degs = [a.bit_count() for a in g.adj]
+        last = max(colors)
+        assert all(degs[v] == max(degs) for v in range(g.n) if colors[v] == last)

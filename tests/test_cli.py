@@ -220,6 +220,7 @@ def test_search_trivial_class_max_zero(capsys):
     "bounds -t 1 -d 5 -w 3",
     "bounds -t 3 -d 0 -w 3",
     "bounds -t 3 --table --delta-range 0:2",
+    "bounds -t 3 --table --delta-range 1:3 --omega-range 1:3",
     "search -n 8 -d 5 -w 3 -t 1",
     "search -n 0 -d 5 -w 3 -t 3",
     "search -n 5 -d -1 -w 3 -t 3",
@@ -227,8 +228,9 @@ def test_search_trivial_class_max_zero(capsys):
     "analyze -t 0",
 ])
 def test_invalid_parameters_exit_2(capsys, argv):
-    code, _, err = run(capsys, argv.split())
+    code, out, err = run(capsys, argv.split())
     assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
 
 
 def test_search_invalid_flags_exit_2():

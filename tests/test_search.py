@@ -1,5 +1,6 @@
 """Exhaustive enumeration engine and the brute-force verification ops."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,37 @@ KNOWN_UNCONSTRAINED = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 def test_unconstrained_counts_match_catalog():
     for n, want in KNOWN_UNCONSTRAINED.items():
         assert enumerate_class(n, n, n + 1) == want
+
+
+# Golden outputs of the engine, recorded before the refinement was
+# re-keyed: an engine change must leave the emitted representatives,
+# their order and every per-level result exactly as they are.
+GOLDEN_STREAM_7 = "307b2c2ecb657bbd0c746cc21e852c56f74a4df3b6c5ec8829b9fe629bb96a3c"
+GOLDEN_LEVELS_8_5_3_3 = [
+    (1, 1, 0, ("@",)),
+    (2, 2, 0, ("A?", "A_")),
+    (3, 4, 1, ("Bw",)),
+    (4, 10, 2, ("C^",)),
+    (5, 29, 4, ("D]{",)),
+    (6, 120, 8, ("E]~o",)),
+    (7, 647, 12, ("FFz~o",)),
+    (8, 5325, 15, ("GLr~vo",)),
+]
+
+
+def test_enumeration_stream_matches_golden_digest():
+    h = hashlib.sha256()
+    count = enumerate_all_up_to(
+        7, 7, 8, lambda g: h.update(f"{g.n}:{','.join(map(str, g.adj))}\n".encode())
+    )
+    assert count == 1252
+    assert h.hexdigest() == GOLDEN_STREAM_7
+
+
+def test_best_up_to_levels_match_golden():
+    report = best_up_to(8, 5, 3, 3)
+    got = [(lv.n, lv.graphs_enumerated, lv.max_clique_count, lv.witnesses) for lv in report.levels]
+    assert got == GOLDEN_LEVELS_8_5_3_3
 
 
 def test_all_four_vertex_graphs():
