@@ -164,7 +164,7 @@ def _analyze_one(g, t: int, dmax: Optional[int], omega: Optional[int]) -> dict:
         if cq.in_class(g, dmax, omega):
             out["in_class"] = True
             out["perfect_vertices"] = [
-                v for v in range(g.n) if cq.is_perfect_vertex(g, v, dmax, omega)
+                v for v in range(g.n) if cq._is_perfect(g.adj, v, dmax, omega - 1)
             ]
         else:
             out["in_class"] = False
@@ -176,6 +176,13 @@ def _cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     if args.t < 1:
         raise ValueError("clique size must be at least 1")
+    if (args.dmax is None) != (args.omega is None):
+        raise ValueError("analyze needs both -d and -w, or neither")
+    if args.dmax is not None:
+        if args.dmax < 0:
+            raise ValueError("degree bound must be non-negative")
+        if args.omega < 2:
+            raise ValueError("perfect vertices need a clique bound of at least 2")
     reports = []
     for lineno, line in enumerate(sys.stdin, start=1):
         text = line.strip()

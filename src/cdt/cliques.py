@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .graphs import Graph, GraphError, bits, induced, max_degree
+from .graphs import Graph, GraphError, bits, max_degree
 
 
 # -- raw bitset cores (shared with the search engine) -----------------
@@ -126,6 +126,28 @@ def _per_vertex_size_counts(n: int, adj: Sequence[int]) -> list[list[int]]:
     return weights
 
 
+def _is_perfect(adj: Sequence[int], v: int, d: int, r: int) -> bool:
+    """Does the neighborhood N of v induce the Turan graph T(d, r)?
+
+    The part of u in N is N minus u's neighbors (u itself included, as
+    there are no self-loops); see `is_perfect_vertex` for why the checks
+    below decide the question.
+    """
+    nb = adj[v]
+    if nb.bit_count() != d:
+        return False
+    sizes = []
+    rest = nb
+    while rest:
+        part = nb & ~adj[(rest & -rest).bit_length() - 1]
+        for w in bits(part):
+            if nb & ~adj[w] != part:
+                return False
+        sizes.append(part.bit_count())
+        rest &= ~part
+    return len(sizes) == min(d, r) and max(sizes, default=0) - min(sizes, default=0) <= 1
+
+
 # -- public clique counts ---------------------------------------------
 
 def clique_size_counts(g: Graph) -> list[int]:
@@ -195,18 +217,24 @@ def is_perfect_vertex(g: Graph, v: int, dmax: int, omega: int) -> bool:
     """True iff the open neighborhood of v induces the Turan graph on
     dmax vertices with omega-1 parts, i.e. v attains the maximum
     possible t-weight for every t >= 2 within the class.
-    """
-    from .bounds import turan_graph  # deferred: bounds imports this module
-    from .canon import is_isomorphic
 
+    Decided from the neighborhood's bitsets, with no canonical
+    labelling.  A graph is complete multipartite exactly when
+    non-adjacency (with each vertex related to itself) is an
+    equivalence relation; its classes are the parts.  Two complete
+    multipartite graphs are isomorphic exactly when their multisets of
+    part sizes agree, and T(dmax, omega-1) is the one with
+    min(dmax, omega-1) nonempty parts whose sizes differ by at most
+    one.  So the neighborhood induces T(dmax, omega-1) exactly when it
+    has dmax vertices, non-adjacency partitions it, and the parts have
+    that count and that balance.
+    """
     if omega < 2:
         raise ValueError("perfect vertices need a clique bound of at least 2")
     if not in_class(g, dmax, omega):
         raise GraphError(f"graph violates the (max degree {dmax}, clique {omega}) class")
     g._check_vertex(v)
-    if g.degree(v) != dmax:
-        return False
-    return is_isomorphic(induced(g, g.adj[v]), turan_graph(dmax, omega - 1))
+    return _is_perfect(g.adj, v, dmax, omega - 1)
 
 
 # -- border vertices and detachability ---------------------------------

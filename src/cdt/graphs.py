@@ -65,6 +65,15 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
 
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """Wrap an adjacency tuple that is valid by construction, such as
+        a class emitted by the search engine, without re-checking it."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 

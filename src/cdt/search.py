@@ -379,7 +379,7 @@ def enumerate_class(
         if level == n:
             count += 1
             if visitor is not None:
-                visitor(Graph(level, adj))
+                visitor(Graph._trusted(level, adj))
         return True
 
     _walk(1, (0,), n, dmax, omega, visit)
@@ -401,7 +401,7 @@ def enumerate_all_up_to(
     def visit(level: int, adj: tuple[int, ...]) -> bool:
         nonlocal count
         count += 1
-        visitor(Graph(level, adj))
+        visitor(Graph._trusted(level, adj))
         return True
 
     if n_max >= 1:

@@ -226,6 +226,11 @@ def test_search_trivial_class_max_zero(capsys):
     "search -n 5 -d -1 -w 3 -t 3",
     "search -n 5 -d 3 -w 3 -t 3 --max-n -2",
     "analyze -t 0",
+    "analyze -d 5",
+    "analyze -w 3",
+    "analyze -d -1 -w 3",
+    "analyze -d 5 -w 0",
+    "analyze -d 5 -w 1",
 ])
 def test_invalid_parameters_exit_2(capsys, argv):
     code, out, err = run(capsys, argv.split())

@@ -22,12 +22,17 @@ from cdt import (
     detach_sufficient,
     edge_weight,
     empty_graph,
+    enumerate_all_up_to,
     find_configurations,
+    induced,
     is_detachable,
+    is_isomorphic,
     is_perfect_vertex,
+    join,
     max_degree,
     path_graph,
     per_vertex_clique_counts,
+    relabel,
     turan_graph,
     union,
     vertex_cover_count,
@@ -36,7 +41,7 @@ from cdt import (
 from cdt.bounds import bt_graph, g_star
 from cdt.graphs import GraphError
 
-from helpers import brute_clique_count, random_graph
+from helpers import brute_clique_count, random_graph, random_permutation
 
 
 # -- counts -------------------------------------------------------------
@@ -152,6 +157,57 @@ def test_perfect_vertices_of_bt2():
     flags = [is_perfect_vertex(g, v, 5, 3) for v in range(8)]
     # exactly the five core (cycle) vertices are perfect
     assert sum(flags) == 5
+
+
+def _perfect_grid(g):
+    """(dmax, omega) pairs around g's own degree and clique number."""
+    d, w = max_degree(g), clique_number(g)
+    return [(dmax, omega) for dmax in (d, d + 1) for omega in sorted({max(w, 2), w + 1})]
+
+
+def _assert_matches_oracle(g):
+    for dmax, omega in _perfect_grid(g):
+        turan = turan_graph(dmax, omega - 1)
+        for v in range(g.n):
+            oracle = is_isomorphic(induced(g, g.adj[v]), turan)
+            assert is_perfect_vertex(g, v, dmax, omega) == oracle, (g, v, dmax, omega)
+
+
+def test_perfect_vertex_matches_isomorphism_oracle():
+    rng = random.Random(20240607)
+    graphs = []
+    enumerate_all_up_to(7, 7, 8, graphs.append)
+    assert len(graphs) == 1252
+    for g in graphs:
+        _assert_matches_oracle(g)
+        _assert_matches_oracle(relabel(g, random_permutation(g.n, rng)))
+
+
+@pytest.mark.parametrize("g", [
+    turan_graph(12, 6), turan_graph(16, 4), bt_graph(2), bt_graph(3), g_star(),
+], ids=["T(12,6)", "T(16,4)", "bt2", "bt3", "gstar"])
+def test_perfect_vertex_matches_oracle_on_constructions(g):
+    _assert_matches_oracle(g)
+
+
+def _hub(nb):
+    """Vertex 0 joined to every vertex of nb."""
+    return join(complete_graph(1), nb)
+
+
+@pytest.mark.parametrize("g, dmax, omega, expected", [
+    (_hub(turan_graph(4, 2)), 4, 3, True),  # N(0) = C_4 = T(4,2)
+    (_hub(join(empty_graph(1), empty_graph(3))), 4, 3, False),  # K_{1,3}: wrong part sizes
+    (_hub(cycle_graph(5)), 5, 3, False),  # C_5 against T(5,2): not multipartite
+    (_hub(path_graph(4)), 4, 3, False),  # P_4 against T(4,2): not multipartite
+    (complete_graph(4), 3, 5, True),  # d < omega-1: N(0) must be K_3
+    (_hub(path_graph(3)), 3, 5, False),  # d < omega-1 and N(0) = P_3, not K_3
+    (empty_graph(1), 0, 2, True),  # degree 0 against T(0, 1)
+    (union(empty_graph(1), complete_graph(2)), 1, 2, False),  # degree 0 < dmax
+])
+def test_perfect_vertex_near_misses(g, dmax, omega, expected):
+    assert is_perfect_vertex(g, 0, dmax, omega) is expected
+    assert is_isomorphic(induced(g, g.adj[0]), turan_graph(dmax, omega - 1)) is expected
 
 
 # -- border profiles and detachability ------------------------------------
