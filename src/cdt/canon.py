@@ -13,6 +13,24 @@ elements fixing the current individualization prefix pointwise) are
 skipped, which collapses the factorial blow-up on highly symmetric
 graphs such as edgeless or complete multipartite ones.
 
+The search also jumps back (McKay & Piperno, "Practical graph
+isomorphism, II", 2014).  The path of individualized vertices is
+recorded for the first leaf and for the best leaf.  When a later leaf
+has the same form as one of them, the automorphism g between the two
+maps the stored path onto the current one (a leaf's labeling
+determines its path, and the tree is invariant under automorphisms).
+Let d be the first depth where the paths differ: g fixes the common
+prefix and maps the stored path's subtree at depth d+1, explored
+earlier, onto the current one, so the rest of the current subtree
+holds only images of leaves already seen and the search resumes at
+depth d.  A jump is taken only after checking that g maps the stored
+path onto the current one up to depth d.  Every skipped leaf has the
+form of an earlier leaf, so the smallest form, and the first leaf that
+attains it, are the same as without jumps.  Fewer generators are
+found, but every automorphism a skipped leaf would have given lies in
+the group generated by g and the automorphisms the explored subtree
+gave, so they generate the same group.
+
 Refinement re-keys every vertex by its old color and its neighbor
 count in each cell.  The key is packed into one int, in base n+1 with
 the old color as the leading digit: every entry is at most n and all
@@ -43,7 +61,8 @@ def refine_colors(n: int, adj: Sequence[int], colors: Optional[list[int]] = None
     From the unit coloring the first round ranks vertices by degree,
     ascending, and every later round keeps the old color as the
     primary key, so the last cell holds only maximum-degree vertices.
-    The canonical-parent check in `cdt.search._accept` relies on this.
+    The canonical-parent rule relies on this: `cdt.search._expand`
+    offers `_accept` only children whose new vertex has maximum degree.
     """
     if n == 0:
         return []
@@ -94,15 +113,16 @@ def _orbit_find(parent: list[int], v: int) -> int:
 
 
 def _orbit_partition(n: int, gens: list[tuple[int, ...]]) -> list[int]:
+    """The root of each vertex's orbit under the group generated by
+    ``gens``: equal entries mean the same orbit."""
     parent = list(range(n))
     for g in gens:
         for v in range(n):
             a, b = _orbit_find(parent, v), _orbit_find(parent, g[v])
             if a != b:
                 parent[b] = a
-    for v in range(n):
-        _orbit_find(parent, v)
-    return parent
+    # path halving leaves some entries pointing below their root
+    return [_orbit_find(parent, v) for v in range(n)]
 
 
 def canon_raw(
@@ -119,16 +139,28 @@ def canon_raw(
     gens: list[tuple[int, ...]] = []
     first_form: Optional[tuple[int, ...]] = None
     first_lab: list[int] = []
+    first_base: list[int] = []
     best_form: Optional[tuple[int, ...]] = None
     best_lab: list[int] = []
+    best_base: list[int] = []
 
-    def add_gen(lab_a: list[int], lab_b: list[int]) -> None:
-        p = _permutation_between(lab_a, lab_b, n)
-        if any(p[v] != v for v in range(n)) and p not in gens:
+    def backjump(lab_a: list[int], base_a: list[int], lab: list[int], base: list[int]) -> int:
+        """Record the automorphism sending leaf a onto the current leaf
+        and return the depth to resume at: the first index where the
+        two paths differ, or n (no jump) if the map does not send one
+        path onto the other up to there."""
+        p = _permutation_between(lab_a, lab, n)
+        if p not in gens:
             gens.append(p)
+        for d, (a, b) in enumerate(zip(base_a, base)):
+            if p[a] != b:
+                return n
+            if a != b:
+                return d
+        return n
 
-    def handle_leaf(colors: list[int]) -> None:
-        nonlocal first_form, first_lab, best_form, best_lab
+    def handle_leaf(colors: list[int], base: list[int]) -> int:
+        nonlocal first_form, first_lab, first_base, best_form, best_lab, best_base
         lab = [0] * n
         for v in range(n):
             lab[colors[v]] = v
@@ -145,20 +177,24 @@ def canon_raw(
         if first_form is None:
             first_form = best_form = form
             first_lab = best_lab = lab
-            return
-        if form == first_form and lab != first_lab:
-            add_gen(first_lab, lab)
-        if form == best_form and lab != best_lab and best_lab is not first_lab:
-            add_gen(best_lab, lab)
+            first_base = best_base = list(base)
+            return n
+        if form == first_form:
+            return backjump(first_lab, first_base, lab, base)
+        if form == best_form:
+            return backjump(best_lab, best_base, lab, base)
         if form < best_form:
-            best_form, best_lab = form, lab
+            best_form, best_lab, best_base = form, lab, list(base)
+        return n
 
-    def rec(colors: Optional[list[int]], base: list[int]) -> None:
+    def rec(colors: Optional[list[int]], base: list[int]) -> int:
+        """Search below the node reached by ``base``; return the depth
+        of the node to resume at (n when no jump is due)."""
         colors = refine_colors(n, adj, colors)
         ncolors = max(colors) + 1
         if ncolors == n:
-            handle_leaf(colors)
-            return
+            return handle_leaf(colors, base)
+        depth = len(base)
         counts = [0] * ncolors
         for c in colors:
             counts[c] += 1
@@ -183,8 +219,11 @@ def canon_raw(
             child = [2 * c for c in colors]
             child[v] -= 1
             base.append(v)
-            rec(child, base)
+            resume = rec(child, base)
             base.pop()
+            if resume < depth:
+                return resume
+        return n
 
     rec(colors, [])
     # rec holds itself through its closure cell; clearing the cell frees

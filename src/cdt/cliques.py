@@ -210,7 +210,7 @@ def density(g: Graph, t: int) -> Fraction:
 def in_class(g: Graph, dmax: int, omega: int) -> bool:
     """Membership in the class of graphs with max degree <= dmax and
     clique number <= omega."""
-    return max_degree(g) <= dmax and clique_number(g) <= omega
+    return max_degree(g) <= dmax and not _has_clique(g.adj, g.vertex_mask(), omega + 1)
 
 
 def is_perfect_vertex(g: Graph, v: int, dmax: int, omega: int) -> bool:
@@ -279,7 +279,7 @@ def is_detachable(g: Graph, subset: int, t: int) -> bool:
         for u in bits(g.adj[v] & outside):
             if t <= 2:
                 return False
-            if _count_of_size(g.adj, g.adj[v] & g.adj[u], t - 2):
+            if _has_clique(g.adj, g.adj[v] & g.adj[u], t - 2):
                 return False
     return True
 

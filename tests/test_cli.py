@@ -225,6 +225,9 @@ def test_search_trivial_class_max_zero(capsys):
     "search -n 0 -d 5 -w 3 -t 3",
     "search -n 5 -d -1 -w 3 -t 3",
     "search -n 5 -d 3 -w 3 -t 3 --max-n -2",
+    "search -n 5 -d 3 -w 3 -t 3 --threads 0",
+    "search -n 5 -d 3 -w 3 -t 3 --threads -2",
+    "search -n 5 -d 3 -w 0 -t 3",
     "analyze -t 0",
     "analyze -d 5",
     "analyze -w 3",
