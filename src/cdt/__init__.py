@@ -79,12 +79,11 @@ from .search import (
     enumerate_all_up_to,
     enumerate_class,
     max_density,
-    probe_configuration_average,
-    probe_conjecture,
-    verify_neighborhood_lemmas,
-    verify_superadditivity,
-    verify_zykov,
 )
+from .verify import verify_neighborhood_lemmas
+from .probes import probe_configuration_average, probe_conjecture
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the verification and probe modules are reached as `cdt.verify` and
+# `cdt.probes`; only the names they re-export here are public
+__all__ = [name for name in dir() if not name.startswith("_") and name not in ("probes", "verify")]
 __version__ = "0.1.0"

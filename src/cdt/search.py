@@ -20,31 +20,15 @@ orphans a class.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from multiprocessing import get_context
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graphs import Graph, bits, union, empty_graph, complete_graph, path_graph
+from .graphs import Graph, empty_graph
 from .canon import canon_raw, canonical_form, refine_colors, _orbit_partition, _orbit_find
-from .cliques import (
-    _count_of_size,
-    _has_clique,
-    _max_clique,
-    _per_vertex_size_counts,
-    _size_counts,
-    find_configurations,
-    vertex_cover_count,
-)
-from .bounds import (
-    bt_density,
-    bt_graph,
-    exact_value,
-    lower_bound,
-    turan_clique_count,
-    turan_graph,
-)
+from .cliques import _count_of_size, _has_clique
+from .bounds import exact_value, lower_bound, turan_clique_count
 
 DEFAULT_CAP = 11
 HARD_CAP = 16
@@ -260,11 +244,11 @@ def _search_levels(
     split = _SPLIT_LEVEL if thread_count > 1 and n_max > _SPLIT_LEVEL else -1
     agg = _Agg(t, bound, split)
     _walk(1, (0,), n_max, dmax, omega, agg.visit)
-    if split < 0:
+    if not agg.frontier:
         return agg.levels
     tasks = [(adj, split, n_max, dmax, omega, t, bound) for adj in agg.frontier]
     ctx = get_context("fork")
-    with ctx.Pool(processes=thread_count) as pool:
+    with ctx.Pool(processes=min(thread_count, len(tasks))) as pool:
         for part in pool.imap(_subtree_worker, tasks, chunksize=1):
             for n, lv in part.items():
                 agg.add(n, *lv)
@@ -433,275 +417,3 @@ def enumerate_all_up_to(
     if n_max >= 1:
         _walk(1, (0,), n_max, dmax, omega, visit)
     return count
-
-
-# -- brute-force theorem verification ---------------------------------------
-
-def _turan_maximizes(n: int, omega: int, t: int, best: int, wits: list) -> bool:
-    """Is ``best`` the t-clique count of T(n, omega), attained by the
-    Turan graph alone whenever it is nonzero?"""
-    expected = turan_clique_count(n, omega, t)
-    if best != expected or expected == 0:
-        return best == expected
-    forms = sorted(canonical_form(Graph(n, adj)) for adj in wits)
-    return forms == [canonical_form(turan_graph(n, omega))]
-
-
-def verify_zykov(
-    n: int,
-    omega: int,
-    t: int,
-    failures: Optional[list[str]] = None,
-) -> bool:
-    """Among n-vertex graphs with clique number <= omega, the Turan
-    graph maximizes the t-clique count, uniquely whenever it has any
-    t-cliques at all."""
-    if n < 1 or omega < 1 or t < 2:
-        raise ValueError("need n >= 1, omega >= 1, t >= 2")
-    _check_cap(n, None)
-    cnt, best, wits = _search_levels(n, n, omega, t)[n]
-    ok = _turan_maximizes(n, omega, t, best, wits)
-    if not ok and failures is not None:
-        failures.extend(
-            canonical_form(Graph(n, adj)).decode("ascii") for adj in wits
-        )
-    return ok
-
-
-def verify_superadditivity(
-    dmax: int,
-    omega: int,
-    t: int,
-    n_max: int,
-    failures: Optional[list[str]] = None,
-) -> bool:
-    """max k_t at x+y vertices is at least the sum of the maxima at x
-    and y vertices (disjoint unions stay in the class)."""
-    _check_cap(n_max, None)
-    levels = _search_levels(n_max, dmax, omega, t)
-    best = {n: levels[n][1] for n in levels}
-    ok = True
-    for x in range(1, n_max):
-        for y in range(x, n_max - x + 1):
-            if best[x + y] < best[x] + best[y]:
-                ok = False
-                if failures is not None:
-                    failures.append(f"x={x} y={y}: {best[x+y]} < {best[x]} + {best[y]}")
-    return ok
-
-
-# -- neighborhood classification lemmas --------------------------------------
-
-@dataclass
-class LemmaCheck:
-    name: str
-    r: int
-    ok: bool
-    found: list[str] = field(default_factory=list)
-    expected: list[str] = field(default_factory=list)
-
-
-@dataclass
-class LemmaReport:
-    checks: list[LemmaCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-_TRIANGLE = ((0, 1), (0, 2), (1, 2))
-_PATH4 = ((0, 1), (1, 2), (2, 3))
-
-
-def _complete_minus(m: int, edges) -> Graph:
-    adj = list(complete_graph(m).adj)
-    for u, v in edges:
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-    return Graph(m, adj)
-
-
-def verify_neighborhood_lemmas(r_values: Sequence[int]) -> LemmaReport:
-    """Reproduce the near-extremal neighborhood classifications by
-    exhaustion.
-
-    For each r: graphs on <= r+2 vertices with clique number <= r and
-    exactly three r-cliques are K_{r+2} minus a triangle or minus a
-    4-path; the complement statements count vertex covers (exactly 3 of
-    size 2 and none of size <= 1, or a size-3 window on r+1 vertices);
-    and for r >= 5 the analogous window on k_{r-2} pins graphs on
-    <= r+1 vertices to K_{r+1} minus a triangle or minus a 4-path.
-    """
-    checks: list[LemmaCheck] = []
-    for r in r_values:
-        if r < 3:
-            raise ValueError("classification needs r >= 3")
-        by_size: dict[int, list[Graph]] = {m: [] for m in range(1, r + 3)}
-        enumerate_all_up_to(r + 2, r + 1, r + 2, lambda g: by_size[g.n].append(g))
-
-        # three r-cliques force K_{r+2} minus triangle or minus 4-path
-        found = []
-        for m in range(1, r + 3):
-            for g in by_size[m]:
-                counts = _size_counts(g.adj, g.vertex_mask())
-                kr = counts[r] if r < len(counts) else 0
-                if kr == 3 and _max_clique(g.adj, g.vertex_mask()) <= r:
-                    found.append(canonical_form(g).decode("ascii"))
-        expected = sorted(
-            canonical_form(h).decode("ascii")
-            for h in (_complete_minus(r + 2, _TRIANGLE), _complete_minus(r + 2, _PATH4))
-        )
-        checks.append(LemmaCheck("three-max-cliques", r, sorted(found) == expected, sorted(found), expected))
-
-        # complement version: cover counts (3 of size 2, none smaller)
-        found = []
-        for m in range(1, r + 3):
-            for g in by_size[m]:
-                if (
-                    vertex_cover_count(g, 0) == 0
-                    and (g.n < 1 or vertex_cover_count(g, 1) == 0)
-                    and g.n >= 2
-                    and vertex_cover_count(g, 2) == 3
-                ):
-                    found.append(canonical_form(g).decode("ascii"))
-        expected = set()
-        for m in range(3, r + 3):
-            expected.add(canonical_form(union(complete_graph(3), empty_graph(m - 3))).decode("ascii"))
-            if m >= 4:
-                expected.add(canonical_form(union(path_graph(4), empty_graph(m - 4))).decode("ascii"))
-        checks.append(
-            LemmaCheck("three-covers-of-size-two", r, set(found) == expected and len(found) == len(set(found)), sorted(found), sorted(expected))
-        )
-
-        if r >= 5:
-            window_lo = Fraction(4 * r - 16) + Fraction(36, r + 2)
-            window_hi = 4 * r - 8
-
-            # size-3 cover window on r+1 vertices
-            found = []
-            for g in by_size[r + 1]:
-                if vertex_cover_count(g, 1) == 0 and window_lo <= vertex_cover_count(g, 3) < window_hi:
-                    found.append(canonical_form(g).decode("ascii"))
-            expected = sorted(
-                canonical_form(h).decode("ascii")
-                for h in (
-                    union(complete_graph(3), empty_graph(r - 2)),
-                    union(path_graph(4), empty_graph(r - 3)),
-                )
-            )
-            checks.append(LemmaCheck("cover-window", r, sorted(found) == expected, sorted(found), expected))
-
-            # k_{r-2} window on <= r+1 vertices pins two graphs
-            found = []
-            for m in range(1, r + 2):
-                for g in by_size[m]:
-                    counts = _size_counts(g.adj, g.vertex_mask())
-                    kr2 = counts[r - 2] if r - 2 < len(counts) else 0
-                    if (
-                        _max_clique(g.adj, g.vertex_mask()) <= r - 1
-                        and window_lo <= kr2 < window_hi
-                    ):
-                        found.append(canonical_form(g).decode("ascii"))
-            expected = sorted(
-                canonical_form(h).decode("ascii")
-                for h in (_complete_minus(r + 1, _TRIANGLE), _complete_minus(r + 1, _PATH4))
-            )
-            checks.append(LemmaCheck("near-max-weight-window", r, sorted(found) == expected, sorted(found), expected))
-    return LemmaReport(checks)
-
-
-# -- conjecture probes ---------------------------------------------------------
-
-def probe_conjecture(
-    name: str,
-    n_cap: int,
-    thread_count: int = 1,
-    cap: Optional[int] = None,
-) -> dict:
-    """Search-based probe of an open question.
-
-    "bt3": does anything in the degree-7 triangle-allowed class beat
-    the triangle density (k+1)(k^2+1)/(3k+2) of bt_graph(3)?  Pruned by
-    the sound per-vertex ceiling, which keeps every graph that ties or
-    beats the target.
-
-    "attainment(t,dmax,omega)": per-size maxima for a triple, recording
-    whether the running best has stabilized at the best known value.
-    """
-    name = name.strip()
-    if name == "bt3":
-        target = bt_density(3)
-        report = best_up_to(
-            n_cap, 7, 3, 3, thread_count=thread_count, prune_target=target, cap=cap
-        )
-        beaten = [lv.n for lv in report.levels if lv.max_density > target]
-        ties = {lv.n: list(lv.witnesses) for lv in report.levels if lv.max_density == target}
-        bt3_g6 = canonical_form(bt_graph(3)).decode("ascii")
-        unique_at_11 = None
-        if n_cap >= 11 and 11 in ties:
-            unique_at_11 = ties[11] == [bt3_g6]
-        return {
-            "probe": "bt3",
-            "n_cap": n_cap,
-            "target": target,
-            "beaten_at": beaten,
-            "ties_at": ties,
-            "bt3_graph6": bt3_g6,
-            "unique_best_at_11": unique_at_11,
-            "pruned": True,
-            "note": "per-size maxima below the target are not exhaustive under pruning",
-            "wall_time": report.wall_time,
-        }
-    if name.startswith("attainment"):
-        args = name[len("attainment"):].strip("():").replace(",", ":").split(":")
-        t, dmax, omega = (int(x) for x in args if x != "")
-        report = best_up_to(n_cap, dmax, omega, t, thread_count=thread_count, cap=cap)
-        return {
-            "probe": f"attainment({t},{dmax},{omega})",
-            "n_cap": n_cap,
-            "per_n": {lv.n: lv.max_density for lv in report.levels},
-            "best": report.best_density,
-            "best_n": report.best_n,
-            "exact_known": report.exact_known,
-            "meets_exact": report.meets_exact,
-            "pruned": False,
-            "wall_time": report.wall_time,
-        }
-    raise ValueError(f"unknown probe {name!r}")
-
-
-def probe_configuration_average(r: int = 5, n_cap: int = 8) -> dict:
-    """Open-question probe: in the degree-r clique-r class, does the
-    average triangle weight over a configuration (an (r+1)-set inducing
-    a complete graph minus two edges) stay at or below C(r,2) - 3 per
-    vertex, split by whether the two missing edges share a vertex?
-
-    The incident case is proven for r >= 5; the non-incident case only
-    for r >= 6, so at r = 5 this records what exhaustion finds.
-    """
-    bound = (r + 1) * (comb(r, 2) - 3)
-    best = {"incident": None, "non-incident": None}
-
-    def check(g: Graph) -> None:
-        if g.n < r + 1:
-            return
-        configs = find_configurations(g, r)
-        if not configs:
-            return
-        weights = _per_vertex_size_counts(g.n, g.adj)
-        for cfg in configs:
-            total = sum(weights[v][3] for v in bits(cfg.vertices))
-            key = "incident" if cfg.incident else "non-incident"
-            if best[key] is None or total > best[key][0]:
-                best[key] = (total, canonical_form(g).decode("ascii"))
-
-    enumerate_all_up_to(n_cap, r, r, check)
-    out = {"r": r, "n_cap": n_cap, "claimed_bound": bound}
-    for key, val in best.items():
-        out[key] = {
-            "max_total_weight": val[0] if val else None,
-            "witness": val[1] if val else None,
-            "within_bound": (val[0] <= bound) if val else None,
-        }
-    return out

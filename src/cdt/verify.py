@@ -1,19 +1,26 @@
-"""The lemma checks, stacked on one isomorph-free pass over every graph
-on at most n_max vertices.  ``cdt verify lemmas|zykov|superadd`` sweep to
-n <= 7 and acceptance criterion 9 to n <= 9.
+"""Brute-force verification of the paper's lemmas, each group on one
+isomorph-free pass.
+
+`Sweep` stacks the lemma, Turan-maximizer and superadditivity checks on
+one pass over every graph on at most n_max vertices: ``cdt verify
+lemmas|zykov|superadd`` sweep to n <= 7 and acceptance criterion 9 to
+n <= 9.  `verify_neighborhood_lemmas` reproduces the near-extremal
+neighbourhood classifications on one pass to r+2 vertices.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import cliques
 from .bounds import turan_clique_count, turan_graph
 from .canon import canonical_form
-from .cliques import _per_vertex_size_counts, _size_counts, find_configurations
-from .graphs import Graph, bits, induced, union
-from .search import _turan_maximizes, enumerate_all_up_to
+from .cliques import _per_vertex_size_counts, _size_counts, find_configurations, vertex_cover_count
+from .graphs import Graph, bits, complete_graph, empty_graph, induced, path_graph, union
+from .search import enumerate_all_up_to
 
 CEILING_PAIRS = ((5, 3), (5, 4), (6, 5), (6, 6))
 SUPERADD_CASES = ((4, 4, 3), (5, 3, 3), (5, 4, 3), (6, 5, 3))
@@ -31,6 +38,16 @@ class Check(NamedTuple):
 
 def _g6(g: Graph) -> str:
     return canonical_form(g).decode("ascii")
+
+
+def _turan_maximizes(n: int, omega: int, t: int, best: int, wits: list) -> bool:
+    """Is ``best`` the t-clique count of T(n, omega), attained by the
+    Turan graph alone whenever it is nonzero?"""
+    expected = turan_clique_count(n, omega, t)
+    if best != expected or expected == 0:
+        return best == expected
+    forms = sorted(canonical_form(Graph(n, adj)) for adj in wits)
+    return forms == [canonical_form(turan_graph(n, omega))]
 
 
 class Sweep:
@@ -118,10 +135,13 @@ class Sweep:
 
         # detachability sufficiency soundness, exhaustive over subsets
         self.covered["detachability"] += 1
+        # detach_sufficient(prof, t) holds exactly for t > i + j, and a
+        # (t+1)-clique across the cut contains a t-clique across it, so
+        # is_detachable is monotone in t: the smallest sufficient t decides
         for subset in range(1, full + 1):
             prof = cliques.border_profile(g, subset, dmax_g)
-            if any(cliques.detach_sufficient(prof, t) and not cliques.is_detachable(g, subset, t)
-                   for t in range(2, n + 1)):
+            t0 = max(2, prof.border_clique_number + prof.max_cross + 1)
+            if t0 <= n and not cliques.is_detachable(g, subset, t0):
                 self.detach_bad.append(_g6(g))
                 break
 
@@ -178,3 +198,110 @@ class Sweep:
             ("superadd", "superadditivity of max clique counts", superadd_bad, cov["superadd"]),
         )
         return {key: Check(name, not bad, bad, covered) for key, name, bad, covered in rows}
+
+
+# -- neighbourhood classifications ---------------------------------------------
+
+@dataclass
+class LemmaCheck:
+    name: str
+    r: int
+    ok: bool
+    found: list[str] = field(default_factory=list)
+    expected: list[str] = field(default_factory=list)
+
+
+@dataclass
+class LemmaReport:
+    checks: list[LemmaCheck]
+    graphs_seen: int  # graphs the enumeration pass scanned
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+
+_TRIANGLE = ((0, 1), (0, 2), (1, 2))
+_PATH4 = ((0, 1), (1, 2), (2, 3))
+
+
+def _complete_minus(m: int, edges) -> Graph:
+    adj = list(complete_graph(m).adj)
+    for u, v in edges:
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+    return Graph(m, adj)
+
+
+def verify_neighborhood_lemmas(r_values: Sequence[int]) -> LemmaReport:
+    """Reproduce the near-extremal neighborhood classifications by
+    exhaustion.
+
+    For each r: graphs on <= r+2 vertices with clique number <= r and
+    exactly three r-cliques are K_{r+2} minus a triangle or minus a
+    4-path; the complement statements count vertex covers (exactly 3 of
+    size 2 and none of size <= 1, or a size-3 window on r+1 vertices);
+    and for r >= 5 the analogous window on k_{r-2} pins graphs on
+    <= r+1 vertices to K_{r+1} minus a triangle or minus a 4-path.
+
+    One pass over every graph on at most max(r_values) + 2 vertices
+    serves every r: the degree and clique bounds r+1 and r+2 exclude
+    nothing on that many vertices.
+    """
+    if any(r < 3 for r in r_values):
+        raise ValueError("classification needs r >= 3")
+    windows = {r: (Fraction(4 * r - 16) + Fraction(36, r + 2), 4 * r - 8) for r in r_values if r >= 5}
+    three_max: dict[int, list[str]] = {r: [] for r in r_values}
+    covers: list[tuple[int, str]] = []  # (n, graph6); the predicate does not depend on r
+    cover_window: dict[int, list[str]] = {r: [] for r in windows}
+    near_max: dict[int, list[str]] = {r: [] for r in windows}
+
+    def visit(g: Graph) -> None:
+        n = g.n
+        counts = _size_counts(g.adj, g.vertex_mask())
+        omega_g = max(t for t in range(n + 1) if counts[t])
+        # exactly three covers of size two and none smaller
+        if vertex_cover_count(g, 0) == 0 and vertex_cover_count(g, 1) == 0 and vertex_cover_count(g, 2) == 3:
+            covers.append((n, _g6(g)))
+        for r in three_max:
+            if r <= n <= r + 2 and counts[r] == 3 and omega_g <= r:
+                three_max[r].append(_g6(g))
+        for r, (lo, hi) in windows.items():
+            if n > r + 1:
+                continue
+            if n == r + 1 and vertex_cover_count(g, 1) == 0 and lo <= vertex_cover_count(g, 3) < hi:
+                cover_window[r].append(_g6(g))
+            kr2 = counts[r - 2] if r - 2 <= n else 0
+            if omega_g <= r - 1 and lo <= kr2 < hi:
+                near_max[r].append(_g6(g))
+
+    r_top = max(r_values, default=0)
+    seen = enumerate_all_up_to(r_top + 2, r_top + 1, r_top + 2, visit) if r_values else 0
+
+    checks: list[LemmaCheck] = []
+    for r in r_values:
+        found = sorted(three_max[r])
+        expected = sorted(_g6(_complete_minus(r + 2, edges)) for edges in (_TRIANGLE, _PATH4))
+        checks.append(LemmaCheck("three-max-cliques", r, found == expected, found, expected))
+
+        found = [g6 for n, g6 in covers if n <= r + 2]
+        expected_set = set()
+        for m in range(3, r + 3):
+            expected_set.add(_g6(union(complete_graph(3), empty_graph(m - 3))))
+            if m >= 4:
+                expected_set.add(_g6(union(path_graph(4), empty_graph(m - 4))))
+        ok = set(found) == expected_set and len(found) == len(expected_set)
+        checks.append(LemmaCheck("three-covers-of-size-two", r, ok, sorted(found), sorted(expected_set)))
+
+        if r >= 5:
+            found = sorted(cover_window[r])
+            expected = sorted(
+                _g6(h)
+                for h in (union(complete_graph(3), empty_graph(r - 2)), union(path_graph(4), empty_graph(r - 3)))
+            )
+            checks.append(LemmaCheck("cover-window", r, found == expected, found, expected))
+
+            found = sorted(near_max[r])
+            expected = sorted(_g6(_complete_minus(r + 1, edges)) for edges in (_TRIANGLE, _PATH4))
+            checks.append(LemmaCheck("near-max-weight-window", r, found == expected, found, expected))
+    return LemmaReport(checks, seen)

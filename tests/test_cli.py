@@ -280,6 +280,12 @@ def test_verify_lemmas_catches_planted_fault(capsys, monkeypatch):
     assert cdt.graph6_decode(fail[0].split(": ")[1].split()[0]).n >= 1
 
 
+def test_verify_neighborhoods_reports_coverage(capsys):
+    code, out, _ = run(capsys, ["verify", "neighborhoods"])
+    assert code == 0
+    assert out.splitlines() == ["ok   neighborhood classifications (r = 3..6, 13598 graphs)"]
+
+
 def test_verify_unknown_suite_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "everything"])

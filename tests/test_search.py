@@ -20,10 +20,9 @@ from cdt import (
     max_density,
     probe_configuration_average,
     probe_conjecture,
+    turan_clique_count,
     turan_graph,
     verify_neighborhood_lemmas,
-    verify_superadditivity,
-    verify_zykov,
 )
 
 from helpers import brute_classes
@@ -77,6 +76,9 @@ def test_best_up_to_levels_match_golden():
     report = best_up_to(8, 5, 3, 3)
     got = [(lv.n, lv.graphs_enumerated, lv.max_clique_count, lv.witnesses) for lv in report.levels]
     assert got == GOLDEN_LEVELS_8_5_3_3
+    assert report.best_density == Fraction(15, 8)
+    assert report.best_n == 8
+    assert report.meets_exact is True
 
 
 def test_all_four_vertex_graphs():
@@ -212,36 +214,75 @@ def test_results_identical_across_worker_counts():
         assert results == [results[0]] * len(workers), args
 
 
+def test_pool_is_capped_at_task_count(monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr("cdt.search.get_context", lambda method: FakeContext)
+    report = best_up_to(6, 5, 3, 3, thread_count=64)
+    assert started == [10]  # one process per level-4 task
+    assert report.levels == best_up_to(6, 5, 3, 3).levels
+
+
 # -- theorem verification ----------------------------------------------------
 
+def _assert_turan_maximizes(n, omega, t):
+    # Zykov: among n-vertex graphs with clique number <= omega the Turan
+    # graph maximizes the t-clique count, uniquely when it has any
+    lv = best_up_to(n, n, omega, t).level(n)
+    expected = turan_clique_count(n, omega, t)
+    assert lv.max_clique_count == expected, (n, omega, t)
+    if expected:
+        assert lv.witnesses == (canonical_form(turan_graph(n, omega)).decode("ascii"),), (n, omega, t)
+
+
 def test_zykov_triangle_bound_six_vertices():
-    assert verify_zykov(6, 3, 3)
+    _assert_turan_maximizes(6, 3, 3)
     d, wits = max_density(6, 5, 3, 3)
     assert d * 6 == 8
     assert wits == [canonical_form(turan_graph(6, 3)).decode("ascii")]
 
 
 def test_zykov_edges_seven_vertices():
-    assert verify_zykov(7, 3, 2)
+    _assert_turan_maximizes(7, 3, 2)
     assert turan_graph(7, 3).edge_count() == 16
 
 
 def test_zykov_vacuous_above_clique_bound():
-    assert verify_zykov(5, 2, 4)
-    assert verify_zykov(4, 1, 2)
+    _assert_turan_maximizes(5, 2, 4)
+    _assert_turan_maximizes(4, 1, 2)
 
 
 def test_zykov_sweep_small():
     for n in range(1, 7):
         for omega in range(1, 5):
             for t in range(2, 5):
-                assert verify_zykov(n, omega, t), (n, omega, t)
+                _assert_turan_maximizes(n, omega, t)
 
 
 def test_superadditivity_cases():
-    assert verify_superadditivity(4, 4, 3, 8)
-    assert verify_superadditivity(5, 3, 3, 8)
-    assert verify_superadditivity(3, 4, 5, 7)  # all-zero case
+    # a disjoint union stays in the class, so max k_t at x + y vertices
+    # is at least the sum of the maxima at x and y
+    for dmax, omega, t, n_max in ((4, 4, 3, 8), (5, 3, 3, 8), (3, 4, 5, 7)):  # the last is all-zero
+        best = {lv.n: lv.max_clique_count for lv in best_up_to(n_max, dmax, omega, t).levels}
+        for x in range(1, n_max):
+            for y in range(x, n_max - x + 1):
+                assert best[x + y] >= best[x] + best[y], (dmax, omega, t, x, y)
 
 
 def test_superadditive_maxima_strictly_grow_from_triangle():
@@ -262,6 +303,12 @@ def test_neighborhood_lemmas_small_r():
     assert ("three-covers-of-size-two", 4) in names
 
 
+def test_neighborhood_lemmas_reject_small_r_before_enumerating(monkeypatch):
+    monkeypatch.setattr("cdt.verify.enumerate_all_up_to", lambda *args: pytest.fail("enumerated"))
+    with pytest.raises(ValueError):
+        verify_neighborhood_lemmas([6, 2])
+
+
 def test_neighborhood_lemma_expected_sets_are_two_graphs():
     report = verify_neighborhood_lemmas([4])
     for c in report.checks:
@@ -277,13 +324,6 @@ def test_probe_bt3_small_cap():
     assert out["target"] == bt_density(3) == Fraction(40, 11)
     assert out["beaten_at"] == []
     assert out["pruned"] is True
-
-
-def test_probe_attainment():
-    out = probe_conjecture("attainment(3,5,3)", 8)
-    assert out["best"] == Fraction(15, 8)
-    assert out["best_n"] == 8
-    assert out["meets_exact"] is True
 
 
 def test_probe_rejects_unknown_name():
