@@ -25,7 +25,7 @@ for label, n_max, dmax, omega, t, expected, witness in CASES:
         print(f"  n={lv.n}: {lv.graphs_enumerated:6d} graphs, "
               f"best k_{t}/n = {lv.max_density}{marker}")
     assert report.best_density == expected
-    want = canonical_form(witness).decode("ascii")
+    want = canonical_form(witness)
     got = report.level(report.best_n).witnesses
     print(f"  best witness(es): {', '.join(got)}  "
           f"(expected construction: {want}, found: {want in got})")

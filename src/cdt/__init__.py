@@ -2,6 +2,8 @@
 and bounded clique number: constructions, closed-form counts, proven
 bounds, and isomorph-free exhaustive search."""
 
+from types import ModuleType as _ModuleType
+
 from .graphs import (
     Graph,
     GraphError,
@@ -74,16 +76,17 @@ from .search import (
     CapExceeded,
     LevelResult,
     SearchReport,
-    SearchSpec,
     best_up_to,
     enumerate_all_up_to,
     enumerate_class,
-    max_density,
 )
 from .verify import verify_neighborhood_lemmas
 from .probes import probe_configuration_average, probe_conjecture
 
-# the verification and probe modules are reached as `cdt.verify` and
-# `cdt.probes`; only the names they re-export here are public
-__all__ = [name for name in dir() if not name.startswith("_") and name not in ("probes", "verify")]
+# submodules are reached as `cdt.search`, `cdt.verify`, ...; only the
+# functions and classes imported above are public
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]
 __version__ = "0.1.0"

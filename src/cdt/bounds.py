@@ -15,6 +15,7 @@ from math import comb
 from typing import Optional
 
 from .graphs import Graph, GraphError, build_graph, join, max_degree
+from .canon import canonical_form
 from .cliques import clique_number
 
 
@@ -316,8 +317,6 @@ class BoundReport:
 
 def bounds_report(t: int, dmax: int, omega: int) -> BoundReport:
     """Lower/upper/exact summary for one (t, dmax, omega) triple."""
-    from .canon import canonical_form
-
     _check_bound_args(t, dmax, omega)
     omega_eff = effective_omega(dmax, omega)
     lo = lower_bound(t, dmax, omega_eff)
@@ -338,7 +337,7 @@ def bounds_report(t: int, dmax: int, omega: int) -> BoundReport:
         lower=lo,
         upper=hi,
         exact=exact,
-        witness=canonical_form(witness).decode("ascii") if witness is not None else None,
+        witness=canonical_form(witness) if witness is not None else None,
         provenance=provenance,
         conjecture=conjectured_value(t, dmax, omega_eff),
     )

@@ -233,13 +233,13 @@ def canon_raw(
     return best_lab, best_form, gens
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Canonical byte string: graph6 of the canonically relabeled graph.
+def canonical_form(g: Graph) -> str:
+    """Canonical graph6 string: graph6 of the canonically relabeled graph.
 
-    Equal byte strings iff the graphs are isomorphic.
+    Equal strings iff the graphs are isomorphic.
     """
     _, form, _ = canon_raw(g.n, g.adj)
-    return graph6_encode(Graph(g.n, form)).encode("ascii")
+    return graph6_encode(Graph(g.n, form))
 
 
 def canonical_graph(g: Graph) -> Graph:

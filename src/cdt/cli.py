@@ -1,9 +1,10 @@
 """Command-line surface: bounds tables, constructions, analysis of
 piped graphs, exhaustive search, and verification suites.
 
-Exit codes: 0 success, 2 invalid flags/parameters, 3 malformed graph6
-input, 4 enumeration cap exceeded without override, 5 failed
-verification check.
+Exit codes: 0 success, 1 a search worker failed, 2 invalid
+flags/parameters, 3 malformed graph6 input, 4 enumeration cap exceeded
+(raise it with --max-n or CDT_MAX_N, up to the hard cap), 5 failed
+verification check, 130 interrupted.  No exit shows a traceback.
 
 Every --json document carries schema_version and renders rationals as
 exact "p/q" strings with a non-authoritative decimal alongside.
@@ -31,10 +32,12 @@ from .verify import Sweep, verify_neighborhood_lemmas
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BAD_GRAPH6 = 3
 EXIT_CAP = 4
 EXIT_CHECK_FAILED = 5
+EXIT_INTERRUPTED = 130
 
 
 def _rational(f: Fraction) -> dict:
@@ -142,7 +145,7 @@ def _cmd_construct(args) -> int:
     except IndexError:
         print(f"error: construct {args.kind} needs more parameters", file=sys.stderr)
         return EXIT_USAGE
-    print(canonical_form(g).decode("ascii"))
+    print(canonical_form(g))
     return EXIT_OK
 
 
@@ -158,7 +161,7 @@ def _analyze_one(g, t: int, dmax: Optional[int], omega: Optional[int]) -> dict:
         "clique_count": cq.clique_count(g, t),
         "density": _rational(cq.density(g, t)) if g.n else None,
         "vertex_weights": [w[t] if t < len(w) else 0 for w in weights],
-        "canonical": canonical_form(g).decode("ascii"),
+        "canonical": canonical_form(g),
     }
     if dmax is not None and omega is not None:
         if cq.in_class(g, dmax, omega):
@@ -231,18 +234,10 @@ def _cmd_search(args) -> int:
         n_lo = n_hi = args.n
     else:
         n_lo, n_hi = args.n_range
-    cap = _resolve_cap(args)
-    if args.override_cap:
-        cap = se.HARD_CAP
-    try:
-        report = se.best_up_to(
-            n_hi, args.dmax, args.omega, args.t,
-            thread_count=args.threads, cap=cap,
-        )
-    except se.CapExceeded as exc:
-        print(f"error: {exc} (raise with --max-n, CDT_MAX_N, or --override-cap)",
-              file=sys.stderr)
-        return EXIT_CAP
+    report = se.best_up_to(
+        n_hi, args.dmax, args.omega, args.t,
+        thread_count=args.threads, cap=_resolve_cap(args),
+    )
     shown = [lv for lv in report.levels if n_lo <= lv.n <= n_hi]
     if args.json:
         outputs = {
@@ -303,7 +298,7 @@ def _verify_formulas() -> bool:
             for t in range(0, n + 1):
                 if bd.turan_clique_count(n, r, t) != counts[t]:
                     ok = _check(f"turan count ({n},{r},{t})", False,
-                                canonical_form(g).decode("ascii")) and ok
+                                canonical_form(g)) and ok
     return _check("turan closed form vs direct count (n <= 9)", ok) and ok
 
 
@@ -413,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-t", type=int, required=True)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-n", type=int, help="enumeration cap (beats CDT_MAX_N)")
-    p.add_argument("--override-cap", action="store_true",
-                   help="allow sizes up to the hard cap of 16")
+    p.add_argument("--max-n", type=int,
+                   help=f"enumeration cap (beats CDT_MAX_N; default {se.DEFAULT_CAP},"
+                        f" at most {se.HARD_CAP})")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -434,11 +429,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except se.CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc} (raise with --max-n or CDT_MAX_N, up to the hard cap"
+              f" {se.HARD_CAP})", file=sys.stderr)
         return EXIT_CAP
     except ValueError as exc:  # GraphError and Graph6Error included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # a failed search worker
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

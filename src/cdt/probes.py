@@ -35,7 +35,7 @@ def probe_conjecture(
     )
     beaten = [lv.n for lv in report.levels if lv.max_density > target]
     ties = {lv.n: list(lv.witnesses) for lv in report.levels if lv.max_density == target}
-    bt3_g6 = canonical_form(bt_graph(3)).decode("ascii")
+    bt3_g6 = canonical_form(bt_graph(3))
     unique_at_11 = None
     if n_cap >= 11 and 11 in ties:
         unique_at_11 = ties[11] == [bt3_g6]
@@ -76,7 +76,7 @@ def probe_configuration_average(r: int = 5, n_cap: int = 8) -> dict:
             total = sum(weights[v][3] for v in bits(cfg.vertices))
             key = "incident" if cfg.incident else "non-incident"
             if best[key] is None or total > best[key][0]:
-                best[key] = (total, canonical_form(g).decode("ascii"))
+                best[key] = (total, canonical_form(g))
 
     enumerate_all_up_to(n_cap, r, r, check)
     out = {"r": r, "n_cap": n_cap, "claimed_bound": bound}

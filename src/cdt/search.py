@@ -19,6 +19,7 @@ orphans a class.
 
 from __future__ import annotations
 
+import signal
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,14 +39,8 @@ class CapExceeded(RuntimeError):
     """Requested size is beyond the configured enumeration cap."""
 
 
-def _effective_cap(cap: Optional[int]) -> int:
-    if cap is None:
-        return DEFAULT_CAP
-    return min(cap, HARD_CAP)
-
-
 def _check_cap(n: int, cap: Optional[int]) -> None:
-    limit = _effective_cap(cap)
+    limit = DEFAULT_CAP if cap is None else min(cap, HARD_CAP)
     if n > limit:
         raise CapExceeded(f"n = {n} exceeds the enumeration cap {limit}")
 
@@ -248,24 +243,21 @@ def _search_levels(
         return agg.levels
     tasks = [(adj, split, n_max, dmax, omega, t, bound) for adj in agg.frontier]
     ctx = get_context("fork")
-    with ctx.Pool(processes=min(thread_count, len(tasks))) as pool:
-        for part in pool.imap(_subtree_worker, tasks, chunksize=1):
-            for n, lv in part.items():
-                agg.add(n, *lv)
+    # workers ignore Ctrl-C: the parent alone reports it, and leaving the
+    # `with` block terminates them
+    with ctx.Pool(processes=min(thread_count, len(tasks)), initializer=signal.signal,
+                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+        try:
+            for part in pool.imap(_subtree_worker, tasks, chunksize=1):
+                for n, lv in part.items():
+                    agg.add(n, *lv)
+        except Exception as exc:
+            # a worker's ValueError is not a bad parameter of the caller
+            raise RuntimeError(f"search worker failed: {type(exc).__name__}: {exc}") from exc
     return agg.levels
 
 
 # -- reports ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SearchSpec:
-    n_max: int
-    dmax: int
-    omega: int
-    t: int
-    thread_count: int = 1
-    prune_target: Optional[Fraction] = None
-
 
 @dataclass(frozen=True)
 class LevelResult:
@@ -278,7 +270,6 @@ class LevelResult:
 
 @dataclass
 class SearchReport:
-    spec: SearchSpec
     levels: list[LevelResult]
     best_density: Fraction
     best_n: int
@@ -299,7 +290,7 @@ def _finalize_levels(levels: dict[int, list]) -> list[LevelResult]:
     out = []
     for n in sorted(levels):
         cnt, best, wits = levels[n]
-        g6 = sorted(canonical_form(Graph(n, adj)).decode("ascii") for adj in wits)
+        g6 = sorted(canonical_form(Graph(n, adj)) for adj in wits)
         out.append(LevelResult(n, cnt, best, Fraction(best, n), tuple(g6)))
     return out
 
@@ -341,7 +332,6 @@ def best_up_to(
             exact_known = ev.value
             meets_exact = best == ev.value
     return SearchReport(
-        spec=SearchSpec(n_max, dmax, omega, t, thread_count, prune_target),
         levels=out,
         best_density=best,
         best_n=best_n,
@@ -351,21 +341,6 @@ def best_up_to(
         pruned=prune_target is not None,
         wall_time=time.perf_counter() - t0,
     )
-
-
-def max_density(
-    n: int,
-    dmax: int,
-    omega: int,
-    t: int,
-    thread_count: int = 1,
-    cap: Optional[int] = None,
-) -> tuple[Fraction, list[str]]:
-    """Exact maximum t-density among n-vertex class members, plus every
-    maximizer as canonical graph6."""
-    report = best_up_to(n, dmax, omega, t, thread_count=thread_count, cap=cap)
-    lv = report.level(n)
-    return lv.max_density, list(lv.witnesses)
 
 
 def enumerate_class(

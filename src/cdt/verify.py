@@ -36,10 +36,6 @@ class Check(NamedTuple):
     covered: int  # graphs the check was applied to
 
 
-def _g6(g: Graph) -> str:
-    return canonical_form(g).decode("ascii")
-
-
 def _turan_maximizes(n: int, omega: int, t: int, best: int, wits: list) -> bool:
     """Is ``best`` the t-clique count of T(n, omega), attained by the
     Turan graph alone whenever it is nonzero?"""
@@ -94,7 +90,7 @@ class Sweep:
 
         # handshake: vertex weights sum to t times the clique count
         if any(sum(w[t] for w in weights) != t * counts[t] for t in range(1, n + 1)):
-            self.handshake_bad.append(_g6(g))
+            self.handshake_bad.append(canonical_form(g))
 
         max_w = [max(w[t] for w in weights) for t in range(n + 1)]
 
@@ -103,7 +99,7 @@ class Sweep:
         for d, wbound in pairs:
             ceil = self.ceilings[(d, wbound)]
             if any(max_w[t] > ceil[t] for t in range(2, n + 1)):
-                self.ceiling_bad.append(_g6(g))
+                self.ceiling_bad.append(canonical_form(g))
             # attaining the ceiling at a size with room forces the
             # extremal neighborhood
             for t in range(3, min(n, wbound) + 1):
@@ -113,14 +109,14 @@ class Sweep:
                     if weights[v][t] == ceil[t]:
                         nb = canonical_form(induced(g, adj[v]))
                         if nb != self.turan_nbhd_form[(d, wbound)]:
-                            self.equality_without_turan_neighborhood.append(_g6(g))
+                            self.equality_without_turan_neighborhood.append(canonical_form(g))
 
         # every heavy vertex has a light neighbor (degree 5 / clique 4)
         if n >= 3 and dmax_g <= 5 and omega_g <= 4:
             self.covered["heavy-neighbour"] += 1
             for v in range(n):
                 if weights[v][3] == 7 and not any(weights[x][3] <= 5 for x in bits(adj[v])):
-                    self.seven_neighbor_bad.append(_g6(g))
+                    self.seven_neighbor_bad.append(canonical_form(g))
 
         # configurations are pairwise disjoint in the degree-r clique-r class
         rs = [r for r in (6, 7) if dmax_g <= r and omega_g <= r and n >= r + 1]
@@ -128,7 +124,7 @@ class Sweep:
         for r in rs:
             cfgs = find_configurations(g, r)
             if any(a.vertices & b.vertices for a, b in combinations(cfgs, 2)):
-                self.config_overlap_bad.append(_g6(g))
+                self.config_overlap_bad.append(canonical_form(g))
 
         if n > SUBSET_CAP:
             return
@@ -142,7 +138,7 @@ class Sweep:
             prof = cliques.border_profile(g, subset, dmax_g)
             t0 = max(2, prof.border_clique_number + prof.max_cross + 1)
             if t0 <= n and not cliques.is_detachable(g, subset, t0):
-                self.detach_bad.append(_g6(g))
+                self.detach_bad.append(canonical_form(g))
                 break
 
         # per-class maxima for the Turan-maximizer and superadditivity gates
@@ -170,7 +166,7 @@ class Sweep:
         zykov_bad: list[str] = []
         for (n, omega, t), (best, wits) in sorted(self.zykov.items()):
             if not _turan_maximizes(n, omega, t, best, wits):
-                zykov_bad.extend(sorted(_g6(Graph(n, adj)) for adj in wits))
+                zykov_bad.extend(sorted(canonical_form(Graph(n, adj)) for adj in wits))
 
         # a union of maximizers at x and y is in the class, so the
         # maximum at x + y is at least the sum
@@ -181,7 +177,7 @@ class Sweep:
             for x in range(1, top):
                 for y in range(x, top - x + 1):
                     if table[x + y] < table[x] + table[y]:
-                        superadd_bad.append(_g6(union(Graph(x, wit[case, x]), Graph(y, wit[case, y]))))
+                        superadd_bad.append(canonical_form(union(Graph(x, wit[case, x]), Graph(y, wit[case, y]))))
 
         cov = self.covered
         rows = (
@@ -262,18 +258,18 @@ def verify_neighborhood_lemmas(r_values: Sequence[int]) -> LemmaReport:
         omega_g = max(t for t in range(n + 1) if counts[t])
         # exactly three covers of size two and none smaller
         if vertex_cover_count(g, 0) == 0 and vertex_cover_count(g, 1) == 0 and vertex_cover_count(g, 2) == 3:
-            covers.append((n, _g6(g)))
+            covers.append((n, canonical_form(g)))
         for r in three_max:
             if r <= n <= r + 2 and counts[r] == 3 and omega_g <= r:
-                three_max[r].append(_g6(g))
+                three_max[r].append(canonical_form(g))
         for r, (lo, hi) in windows.items():
             if n > r + 1:
                 continue
             if n == r + 1 and vertex_cover_count(g, 1) == 0 and lo <= vertex_cover_count(g, 3) < hi:
-                cover_window[r].append(_g6(g))
+                cover_window[r].append(canonical_form(g))
             kr2 = counts[r - 2] if r - 2 <= n else 0
             if omega_g <= r - 1 and lo <= kr2 < hi:
-                near_max[r].append(_g6(g))
+                near_max[r].append(canonical_form(g))
 
     r_top = max(r_values, default=0)
     seen = enumerate_all_up_to(r_top + 2, r_top + 1, r_top + 2, visit) if r_values else 0
@@ -281,27 +277,27 @@ def verify_neighborhood_lemmas(r_values: Sequence[int]) -> LemmaReport:
     checks: list[LemmaCheck] = []
     for r in r_values:
         found = sorted(three_max[r])
-        expected = sorted(_g6(_complete_minus(r + 2, edges)) for edges in (_TRIANGLE, _PATH4))
+        expected = sorted(canonical_form(_complete_minus(r + 2, edges)) for edges in (_TRIANGLE, _PATH4))
         checks.append(LemmaCheck("three-max-cliques", r, found == expected, found, expected))
 
         found = [g6 for n, g6 in covers if n <= r + 2]
         expected_set = set()
         for m in range(3, r + 3):
-            expected_set.add(_g6(union(complete_graph(3), empty_graph(m - 3))))
+            expected_set.add(canonical_form(union(complete_graph(3), empty_graph(m - 3))))
             if m >= 4:
-                expected_set.add(_g6(union(path_graph(4), empty_graph(m - 4))))
+                expected_set.add(canonical_form(union(path_graph(4), empty_graph(m - 4))))
         ok = set(found) == expected_set and len(found) == len(expected_set)
         checks.append(LemmaCheck("three-covers-of-size-two", r, ok, sorted(found), sorted(expected_set)))
 
         if r >= 5:
             found = sorted(cover_window[r])
             expected = sorted(
-                _g6(h)
+                canonical_form(h)
                 for h in (union(complete_graph(3), empty_graph(r - 2)), union(path_graph(4), empty_graph(r - 3)))
             )
             checks.append(LemmaCheck("cover-window", r, found == expected, found, expected))
 
             found = sorted(near_max[r])
-            expected = sorted(_g6(_complete_minus(r + 1, edges)) for edges in (_TRIANGLE, _PATH4))
+            expected = sorted(canonical_form(_complete_minus(r + 1, edges)) for edges in (_TRIANGLE, _PATH4))
             checks.append(LemmaCheck("near-max-weight-window", r, found == expected, found, expected))
     return LemmaReport(checks, seen)

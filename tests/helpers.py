@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 from cdt import Graph, build_graph, relabel
 
@@ -65,3 +66,24 @@ def random_permutation(n: int, rng: random.Random) -> list[int]:
     perm = list(range(n))
     rng.shuffle(perm)
     return perm
+
+
+def inline_pool_context(started: list) -> SimpleNamespace:
+    """Stand-in for ``multiprocessing.get_context(...)``: its pools run
+    every task in this process, in order, and start no process.  The
+    keyword arguments of each pool are appended to ``started``."""
+
+    class Pool:
+        def __init__(self, **kwargs):
+            started.append(kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    return SimpleNamespace(Pool=Pool)

@@ -18,6 +18,8 @@ from cdt import (
     complement,
     enumerate_all_up_to,
     canonical_graph,
+    graph6_decode,
+    graph6_encode,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -91,6 +93,22 @@ def test_canonical_form_refines_exactly_like_brute_force():
         for forms in by_brute.values():
             assert len(forms) == 1
         assert len(by_brute) == len({f for s in by_brute.values() for f in s})
+
+
+def test_canonical_form_is_graph6_of_an_isomorphic_graph():
+    graphs = []
+    enumerate_all_up_to(6, 6, 7, graphs.append)  # every class on <= 6 vertices
+    graphs += [bt_graph(2), bt_graph(3), g_star(), turan_graph(12, 6)]
+    for g in graphs:
+        form = canonical_form(g)
+        assert isinstance(form, str) and form == graph6_encode(canonical_graph(g))
+        # the labelling is an explicit isomorphism: new vertex i is old lab[i]
+        h, lab = graph6_decode(form), canon_raw(g.n, g.adj)[0]
+        assert sorted(lab) == list(range(g.n))
+        assert all(
+            (h.adj[i] >> j & 1) == (g.adj[lab[i]] >> lab[j] & 1)
+            for i in range(g.n) for j in range(g.n)
+        ), form
 
 
 def test_canonical_graph_is_isomorphic_relabeling():

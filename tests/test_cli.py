@@ -15,6 +15,8 @@ import cdt
 from cdt import canonical_form, bt_graph, g_star, turan_graph
 from cdt.cli import main
 
+from helpers import inline_pool_context
+
 
 SCHEMA_PATH = Path(cdt.__file__).parent / "schemas" / "report.schema.json"
 
@@ -95,27 +97,27 @@ def test_bounds_missing_flags_exit_2(capsys):
 def test_construct_turan(capsys):
     code, out, _ = run(capsys, ["construct", "turan", "8", "4"])
     assert code == 0
-    assert out.strip() == canonical_form(turan_graph(8, 4)).decode("ascii")
+    assert out.strip() == canonical_form(turan_graph(8, 4))
 
 
 def test_construct_bt2_is_wheel_like_join(capsys):
     code, out, _ = run(capsys, ["construct", "bt", "2"])
     assert code == 0
-    assert out.strip() == canonical_form(bt_graph(2)).decode("ascii")
+    assert out.strip() == canonical_form(bt_graph(2))
 
 
 def test_construct_gstar(capsys):
     code, out, _ = run(capsys, ["construct", "gstar"])
     assert code == 0
     g6 = out.strip()
-    assert g6 == canonical_form(g_star()).decode("ascii")
+    assert g6 == canonical_form(g_star())
     assert cdt.graph6_decode(g6).edge_count() == 17
 
 
 def test_construct_lbg(capsys):
     code, out, _ = run(capsys, ["construct", "lbg", "5", "3"])
     assert code == 0
-    assert out.strip() == canonical_form(turan_graph(7, 3)).decode("ascii")
+    assert out.strip() == canonical_form(turan_graph(7, 3))
 
 
 def test_construct_invalid_params_exit_2(capsys):
@@ -128,7 +130,7 @@ def test_construct_invalid_params_exit_2(capsys):
 # -- analyze --------------------------------------------------------------
 
 def test_analyze_bt2(capsys, monkeypatch):
-    g6 = canonical_form(bt_graph(2)).decode("ascii")
+    g6 = canonical_form(bt_graph(2))
     code, out, err = run(
         capsys, ["analyze", "-t", "3", "-d", "5", "-w", "3"],
         stdin=g6 + "\n", monkeypatch=monkeypatch,
@@ -160,7 +162,7 @@ def test_analyze_malformed_line_exits_3(capsys, monkeypatch):
 def test_analyze_json_per_vertex_weights(capsys, monkeypatch):
     # T(8,4) in the degree-6 clique-5 class: every triangle weight is 12
     # and no vertex has the extremal T(6,4) neighborhood
-    g6 = canonical_form(turan_graph(8, 4)).decode("ascii")
+    g6 = canonical_form(turan_graph(8, 4))
     code, out, _ = run(
         capsys, ["analyze", "-t", "3", "-d", "6", "-w", "5", "--json"],
         stdin=g6 + "\n", monkeypatch=monkeypatch,
@@ -193,9 +195,13 @@ def test_search_range_human(capsys):
 
 
 def test_search_cap_exit_4(capsys):
-    code, _, err = run(capsys, ["search", "-n", "12", "-d", "3", "-w", "3", "-t", "3"])
+    code, out, err = run(capsys, ["search", "-n", "12", "-d", "3", "-w", "3", "-t", "3"])
     assert code == 4
     assert "cap" in err
+    # one line, and it says how to raise the cap
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "--max-n" in err
+    assert "CDT_MAX_N" in err and "hard cap 16" in err
 
 
 def test_search_cap_env_and_flag_precedence(capsys, monkeypatch):
@@ -206,6 +212,22 @@ def test_search_cap_env_and_flag_precedence(capsys, monkeypatch):
     code, out, _ = run(capsys, ["search", "-n", "5", "-d", "2", "-w", "3",
                                 "-t", "3", "--max-n", "6"])
     assert code == 0
+
+
+@pytest.mark.parametrize("raised, code, message", [
+    # a worker's ValueError is not a bad parameter: exit 1, not 2
+    (ValueError("boom"), 1, "error: search worker failed: ValueError: boom\n"),
+    (KeyboardInterrupt(), 130, "error: interrupted\n"),
+], ids=["worker-error", "ctrl-c"])
+def test_search_pool_failure_is_one_error_line(capsys, monkeypatch, raised, code, message):
+    def worker(task):
+        raise raised
+
+    monkeypatch.setattr("cdt.search.get_context", lambda method: inline_pool_context([]))
+    monkeypatch.setattr("cdt.search._subtree_worker", worker)
+    got, out, err = run(capsys, ["search", "-n", "6", "-d", "5", "-w", "3", "-t", "3",
+                                 "--threads", "2"])
+    assert (got, out, err) == (code, "", message)
 
 
 def test_search_trivial_class_max_zero(capsys):

@@ -72,7 +72,7 @@ search_argv = _argv(
     st.integers(-1, 8).map(lambda v: ["-w", str(v)]),
     st.integers(-1, 8).map(lambda v: ["-t", str(v)]),
     _flag("--threads", st.integers(-1, 2)), _flag("--max-n", st.integers(-1, 8)),
-    _switch("--override-cap"), _switch("--json"),
+    _switch("--json"),
 )
 analyze_argv = _argv(
     ["analyze"], _flag("-t", ints), _flag("-d", ints), _flag("-w", ints), _switch("--json"),

@@ -1,6 +1,7 @@
 """Exhaustive enumeration engine and the brute-force verification ops."""
 
 import hashlib
+import signal
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from cdt import (
     graph6_decode,
     lower_bound,
     max_degree,
-    max_density,
     probe_configuration_average,
     probe_conjecture,
     turan_clique_count,
@@ -25,7 +25,7 @@ from cdt import (
     verify_neighborhood_lemmas,
 )
 
-from helpers import brute_classes
+from helpers import brute_classes, inline_pool_context
 
 
 KNOWN_UNCONSTRAINED = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -152,16 +152,16 @@ def test_cap_enforced():
 # -- maxima ---------------------------------------------------------------
 
 def test_max_density_triangle_free_degree_two():
-    d, wits = max_density(5, 2, 3, 3)
-    assert d == Fraction(1, 5)  # a 5-cycle cannot hold a triangle; C3+2K1 can
-    assert len(wits) >= 1
+    lv = best_up_to(5, 2, 3, 3).level(5)
+    assert lv.max_density == Fraction(1, 5)  # a 5-cycle cannot hold a triangle; C3+2K1 can
+    assert len(lv.witnesses) >= 1
 
 
 def test_max_density_above_clique_bound_is_zero():
-    d, wits = max_density(5, 4, 2, 3)
-    assert d == 0
+    lv = best_up_to(5, 4, 2, 3).level(5)
+    assert lv.max_density == 0
     # every triangle-free class member is then a witness
-    assert len(wits) == enumerate_class(5, 4, 2)
+    assert len(lv.witnesses) == enumerate_class(5, 4, 2)
 
 
 def test_max_density_matches_proven_value_small():
@@ -171,7 +171,7 @@ def test_max_density_matches_proven_value_small():
     assert report.best_n == 5
     assert report.meets_exact is True
     lv = report.level(5)
-    assert lv.witnesses == (canonical_form(turan_graph(5, 4)).decode("ascii"),)
+    assert lv.witnesses == (canonical_form(turan_graph(5, 4)),)
 
 
 def test_best_up_to_tiny_class():
@@ -216,26 +216,12 @@ def test_results_identical_across_worker_counts():
 
 def test_pool_is_capped_at_task_count(monkeypatch):
     started = []
-
-    class FakePool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    class FakeContext:
-        Pool = FakePool
-
-    monkeypatch.setattr("cdt.search.get_context", lambda method: FakeContext)
+    monkeypatch.setattr("cdt.search.get_context", lambda method: inline_pool_context(started))
     report = best_up_to(6, 5, 3, 3, thread_count=64)
-    assert started == [10]  # one process per level-4 task
+    assert [kw["processes"] for kw in started] == [10]  # one process per level-4 task
+    # workers ignore Ctrl-C, so the parent alone reports it
+    assert started[0]["initializer"] is signal.signal
+    assert started[0]["initargs"] == (signal.SIGINT, signal.SIG_IGN)
     assert report.levels == best_up_to(6, 5, 3, 3).levels
 
 
@@ -248,14 +234,14 @@ def _assert_turan_maximizes(n, omega, t):
     expected = turan_clique_count(n, omega, t)
     assert lv.max_clique_count == expected, (n, omega, t)
     if expected:
-        assert lv.witnesses == (canonical_form(turan_graph(n, omega)).decode("ascii"),), (n, omega, t)
+        assert lv.witnesses == (canonical_form(turan_graph(n, omega)),), (n, omega, t)
 
 
 def test_zykov_triangle_bound_six_vertices():
     _assert_turan_maximizes(6, 3, 3)
-    d, wits = max_density(6, 5, 3, 3)
-    assert d * 6 == 8
-    assert wits == [canonical_form(turan_graph(6, 3)).decode("ascii")]
+    lv = best_up_to(6, 5, 3, 3).level(6)
+    assert lv.max_density * 6 == 8
+    assert list(lv.witnesses) == [canonical_form(turan_graph(6, 3))]
 
 
 def test_zykov_edges_seven_vertices():
