@@ -78,7 +78,6 @@ from .search import (
     SearchReport,
     best_up_to,
     enumerate_all_up_to,
-    enumerate_class,
 )
 from .verify import verify_neighborhood_lemmas
 from .probes import probe_configuration_average, probe_conjecture

@@ -1,5 +1,5 @@
 """Command-line surface: bounds tables, constructions, analysis of
-piped graphs, exhaustive search, and verification suites.
+piped graphs, exhaustive search, and `cdt.verify` suite rows, one line each.
 
 Exit codes: 0 success, 1 a search worker failed, 2 invalid
 flags/parameters, 3 malformed graph6 input, 4 enumeration cap exceeded
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import os
 import sys
@@ -25,9 +24,9 @@ from typing import Optional
 from . import bounds as bd
 from . import cliques as cq
 from . import search as se
+from . import verify as vf
 from .graphs import Graph6Error, graph6_decode, max_degree
 from .canon import canonical_form
-from .verify import Sweep, verify_neighborhood_lemmas
 
 SCHEMA_VERSION = 1
 
@@ -284,77 +283,13 @@ def _cmd_search(args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
-def _check(name: str, ok: bool, detail: str = "") -> bool:
-    print(f"{'ok  ' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
-    return ok
-
-
-def _verify_formulas() -> bool:
-    ok = True
-    for n in range(1, 10):
-        for r in range(1, n + 1):
-            g = bd.turan_graph(n, r)
-            counts = cq.clique_size_counts(g)
-            for t in range(0, n + 1):
-                if bd.turan_clique_count(n, r, t) != counts[t]:
-                    ok = _check(f"turan count ({n},{r},{t})", False,
-                                canonical_form(g)) and ok
-    return _check("turan closed form vs direct count (n <= 9)", ok) and ok
-
-
-@functools.lru_cache(maxsize=1)
-def _sweep() -> Sweep:
-    """The lemma sweep shared by the suites of one `cdt verify` run."""
-    return Sweep(7).run()
-
-
-def _verify_sweep(*keys: str) -> bool:
-    sweep = _sweep()
-    checks = sweep.checks()
-    ok = True
-    for key in keys:
-        c = checks[key]
-        ok = _check(f"{c.name} (n <= {sweep.n_max}, {c.covered} graphs)", c.ok,
-                    " ".join(c.failures[:3])) and ok
-    return ok
-
-
-def _verify_monotone() -> bool:
-    ok = True
-    for omega in range(1, 9):
-        for t in range(2, omega + 1):
-            if not bd.rho_monotone_check(omega, t, 120):
-                ok = _check(f"turan density monotone (omega={omega}, t={t})", False) and ok
-    return _check("turan density monotone in n (n <= 120, omega <= 8)", ok) and ok
-
-
-def _verify_neighborhoods() -> bool:
-    report = verify_neighborhood_lemmas([3, 4, 5, 6])
-    ok = True
-    for c in report.checks:
-        if not c.ok:
-            ok = _check(f"{c.name} (r={c.r})", False,
-                        f"found {c.found} expected {c.expected}") and ok
-    return _check(f"neighborhood classifications (r = 3..6, {report.graphs_seen} graphs)", ok) and ok
-
-
-_SUITES = {
-    "formulas": _verify_formulas,
-    "lemmas": functools.partial(_verify_sweep, "handshake", "ceiling", "equality",
-                                "heavy-neighbour", "configurations", "detachability"),
-    "zykov": functools.partial(_verify_sweep, "zykov"),
-    "monotone": _verify_monotone,
-    "superadd": functools.partial(_verify_sweep, "superadd"),
-    "neighborhoods": _verify_neighborhoods,
-}
-
-
 def _cmd_verify(args) -> int:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    _sweep.cache_clear()  # a fresh sweep per invocation
+    names = list(vf.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
-    for name in names:
-        all_ok = _SUITES[name]() and all_ok
+    for row in vf.suite_rows(names):
+        print(f"{'ok  ' if row.ok else 'FAIL'} {row.name} ({row.scope}, {row.covered} graphs)"
+              + (f": {' '.join(row.failures[:3])}" if row.failures else ""))
+        all_ok = all_ok and row.ok
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -414,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(_SUITES) + ["all"])
+    p.add_argument("suite", choices=sorted(vf.SUITES) + ["all"])
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -26,13 +26,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 class GraphError(ValueError):
     """Raised for capacity violations, self-loops, or bad vertex indices."""
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from multiprocessing import get_context
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graphs import Graph, empty_graph
+from .graphs import Graph
 from .canon import canon_raw, canonical_form, refine_colors, _orbit_partition, _orbit_find
 from .cliques import _count_of_size, _has_clique
 from .bounds import exact_value, lower_bound, turan_clique_count
@@ -341,34 +341,6 @@ def best_up_to(
         pruned=prune_target is not None,
         wall_time=time.perf_counter() - t0,
     )
-
-
-def enumerate_class(
-    n: int,
-    dmax: int,
-    omega: int,
-    visitor: Optional[Callable[[Graph], None]] = None,
-    cap: Optional[int] = None,
-) -> int:
-    """Visit one representative per isomorphism class of n-vertex graphs
-    in the class; returns the number visited."""
-    _check_cap(n, cap)
-    if n == 0:
-        if visitor is not None:
-            visitor(empty_graph(0))
-        return 1
-    count = 0
-
-    def visit(level: int, adj: tuple[int, ...]) -> bool:
-        nonlocal count
-        if level == n:
-            count += 1
-            if visitor is not None:
-                visitor(Graph._trusted(level, adj))
-        return True
-
-    _walk(1, (0,), n, dmax, omega, visit)
-    return count
 
 
 def enumerate_all_up_to(

@@ -1,24 +1,27 @@
-"""Brute-force verification of the paper's lemmas, each group on one
-isomorph-free pass.
+"""Verification suites for ``cdt verify``: the Turan formulas, Zykov's
+theorem and the paper's local lemmas, checked by exhaustion.
 
-`Sweep` stacks the lemma, Turan-maximizer and superadditivity checks on
-one pass over every graph on at most n_max vertices: ``cdt verify
-lemmas|zykov|superadd`` sweep to n <= 7 and acceptance criterion 9 to
-n <= 9.  `verify_neighborhood_lemmas` reproduces the near-extremal
-neighbourhood classifications on one pass to r+2 vertices.
+`SUITES` is the one suite table and `suite_rows` yields its `Check`
+rows; each row names its scope, the graphs it covered and its failing
+entries, each once.  ``lemmas``, ``zykov`` and ``superadd`` are rows of
+one `Sweep`, one isomorph-free pass over every graph on at most n_max
+vertices (7 here, 9 in acceptance criterion 9).  The neighbourhood
+classifications run on one pass to r+2 vertices.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import cliques
-from .bounds import turan_clique_count, turan_graph
+from .bounds import rho_monotone_check, turan_clique_count, turan_graph
 from .canon import canonical_form
-from .cliques import _per_vertex_size_counts, _size_counts, find_configurations, vertex_cover_count
+from .cliques import _per_vertex_size_counts, _size_counts, clique_size_counts
+from .cliques import find_configurations, vertex_cover_count
 from .graphs import Graph, bits, complete_graph, empty_graph, induced, path_graph, union
 from .search import enumerate_all_up_to
 
@@ -28,12 +31,29 @@ SUPERADD_CASES = ((4, 4, 3), (5, 3, 3), (5, 4, 3), (6, 5, 3))
 # beyond it they cost more than the rest of the sweep together
 SUBSET_CAP = 8
 
+# Sweep row key -> row name; the lemma rows are decided graph by graph
+LEMMA_CHECKS = {
+    "handshake": "handshake identity",
+    "ceiling": "per-vertex clique ceilings",
+    "equality": "ceiling attained only with a Turan neighbourhood",
+    "heavy-neighbour": "heavy degree-5 clique-4 vertices have a light neighbour",
+    "configurations": "degree-r clique-r configurations pairwise disjoint",
+    "detachability": "detachability sufficiency soundness",
+}
+SWEEP_CHECKS = {**LEMMA_CHECKS, "zykov": "bounded-clique maximizer & uniqueness",
+                "superadd": "superadditivity of max clique counts"}
+
 
 class Check(NamedTuple):
+    """One row of a suite."""
     name: str
-    ok: bool
-    failures: list[str]  # canonical graph6 of the graphs that break it
+    scope: str  # the range the check ran over, e.g. "n <= 7"
+    failures: list[str]  # distinct; canonical graph6 unless the suite says otherwise
     covered: int  # graphs the check was applied to
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def _turan_maximizes(n: int, omega: int, t: int, best: int, wits: list) -> bool:
@@ -52,20 +72,14 @@ class Sweep:
     def __init__(self, n_max: int = 9):
         self.n_max = n_max
         self.graphs_seen = 0
-        self.handshake_bad: list[str] = []
-        self.ceiling_bad: list[str] = []
-        self.equality_without_turan_neighborhood: list[str] = []
-        self.seven_neighbor_bad: list[str] = []
-        self.config_overlap_bad: list[str] = []
-        self.detach_bad: list[str] = []
+        # lemma key -> canonical graph6 of the graphs that break it, each once
+        self.bad: dict[str, list[str]] = {key: [] for key in LEMMA_CHECKS}
         # (n, omega, t) -> [max count, list of maximizer adjacency tuples]
         self.zykov: dict = {}
         # (dmax, omega, t) -> {n: max count}, and one maximizer per (case, n)
         self.superadd: dict = {case: {} for case in SUPERADD_CASES}
         self.superadd_witness: dict = {}
-        self.covered = dict.fromkeys(
-            ("ceiling", "heavy-neighbour", "configurations", "detachability", "zykov", "superadd"), 0
-        )
+        self.covered = dict.fromkeys(SWEEP_CHECKS, 0)  # handshake and equality are set by checks()
         self.ceilings = {
             (d, w): [turan_clique_count(d, w - 1, t - 1) if t >= 1 else 0 for t in range(n_max + 1)]
             for d, w in CEILING_PAIRS
@@ -77,6 +91,12 @@ class Sweep:
     def run(self) -> "Sweep":
         enumerate_all_up_to(self.n_max, self.n_max, self.n_max + 1, self.visit)
         return self
+
+    def _fail(self, key: str, g: Graph) -> None:
+        """Record g against a lemma once; visits are isomorph-free, so a repeat is the last entry."""
+        form = canonical_form(g)
+        if self.bad[key][-1:] != [form]:
+            self.bad[key].append(form)
 
     def visit(self, g: Graph) -> None:
         self.graphs_seen += 1
@@ -90,7 +110,7 @@ class Sweep:
 
         # handshake: vertex weights sum to t times the clique count
         if any(sum(w[t] for w in weights) != t * counts[t] for t in range(1, n + 1)):
-            self.handshake_bad.append(canonical_form(g))
+            self._fail("handshake", g)
 
         max_w = [max(w[t] for w in weights) for t in range(n + 1)]
 
@@ -98,25 +118,24 @@ class Sweep:
         self.covered["ceiling"] += bool(pairs)
         for d, wbound in pairs:
             ceil = self.ceilings[(d, wbound)]
+            nbhd = self.turan_nbhd_form[(d, wbound)]
             if any(max_w[t] > ceil[t] for t in range(2, n + 1)):
-                self.ceiling_bad.append(canonical_form(g))
+                self._fail("ceiling", g)
             # attaining the ceiling at a size with room forces the
             # extremal neighborhood
             for t in range(3, min(n, wbound) + 1):
                 if ceil[t] == 0:
                     continue
                 for v in range(n):
-                    if weights[v][t] == ceil[t]:
-                        nb = canonical_form(induced(g, adj[v]))
-                        if nb != self.turan_nbhd_form[(d, wbound)]:
-                            self.equality_without_turan_neighborhood.append(canonical_form(g))
+                    if weights[v][t] == ceil[t] and canonical_form(induced(g, adj[v])) != nbhd:
+                        self._fail("equality", g)
 
         # every heavy vertex has a light neighbor (degree 5 / clique 4)
         if n >= 3 and dmax_g <= 5 and omega_g <= 4:
             self.covered["heavy-neighbour"] += 1
             for v in range(n):
                 if weights[v][3] == 7 and not any(weights[x][3] <= 5 for x in bits(adj[v])):
-                    self.seven_neighbor_bad.append(canonical_form(g))
+                    self._fail("heavy-neighbour", g)
 
         # configurations are pairwise disjoint in the degree-r clique-r class
         rs = [r for r in (6, 7) if dmax_g <= r and omega_g <= r and n >= r + 1]
@@ -124,7 +143,7 @@ class Sweep:
         for r in rs:
             cfgs = find_configurations(g, r)
             if any(a.vertices & b.vertices for a, b in combinations(cfgs, 2)):
-                self.config_overlap_bad.append(canonical_form(g))
+                self._fail("configurations", g)
 
         if n > SUBSET_CAP:
             return
@@ -138,7 +157,7 @@ class Sweep:
             prof = cliques.border_profile(g, subset, dmax_g)
             t0 = max(2, prof.border_clique_number + prof.max_cross + 1)
             if t0 <= n and not cliques.is_detachable(g, subset, t0):
-                self.detach_bad.append(canonical_form(g))
+                self._fail("detachability", g)
                 break
 
         # per-class maxima for the Turan-maximizer and superadditivity gates
@@ -162,7 +181,7 @@ class Sweep:
                 self.superadd_witness[case, n] = adj
 
     def checks(self) -> dict[str, Check]:
-        """Every check of the sweep by key, with its failing graphs."""
+        """Every row of the sweep by key, in `SWEEP_CHECKS` order."""
         zykov_bad: list[str] = []
         for (n, omega, t), (best, wits) in sorted(self.zykov.items()):
             if not _turan_maximizes(n, omega, t, best, wits):
@@ -179,21 +198,11 @@ class Sweep:
                     if table[x + y] < table[x] + table[y]:
                         superadd_bad.append(canonical_form(union(Graph(x, wit[case, x]), Graph(y, wit[case, y]))))
 
-        cov = self.covered
-        rows = (
-            ("handshake", "handshake identity", self.handshake_bad, self.graphs_seen),
-            ("ceiling", "per-vertex clique ceilings", self.ceiling_bad, cov["ceiling"]),
-            ("equality", "ceiling attained only with a Turan neighbourhood",
-             self.equality_without_turan_neighborhood, cov["ceiling"]),
-            ("heavy-neighbour", "heavy degree-5 clique-4 vertices have a light neighbour",
-             self.seven_neighbor_bad, cov["heavy-neighbour"]),
-            ("configurations", "degree-r clique-r configurations pairwise disjoint",
-             self.config_overlap_bad, cov["configurations"]),
-            ("detachability", "detachability sufficiency soundness", self.detach_bad, cov["detachability"]),
-            ("zykov", "bounded-clique maximizer & uniqueness", zykov_bad, cov["zykov"]),
-            ("superadd", "superadditivity of max clique counts", superadd_bad, cov["superadd"]),
-        )
-        return {key: Check(name, not bad, bad, covered) for key, name, bad, covered in rows}
+        # a graph can fail several tables: list it once
+        bad = dict(self.bad, zykov=list(dict.fromkeys(zykov_bad)), superadd=list(dict.fromkeys(superadd_bad)))
+        covered = dict(self.covered, handshake=self.graphs_seen, equality=self.covered["ceiling"])
+        scope = f"n <= {self.n_max}"
+        return {key: Check(name, scope, bad[key], covered[key]) for key, name in SWEEP_CHECKS.items()}
 
 
 # -- neighbourhood classifications ---------------------------------------------
@@ -280,24 +289,80 @@ def verify_neighborhood_lemmas(r_values: Sequence[int]) -> LemmaReport:
         expected = sorted(canonical_form(_complete_minus(r + 2, edges)) for edges in (_TRIANGLE, _PATH4))
         checks.append(LemmaCheck("three-max-cliques", r, found == expected, found, expected))
 
-        found = [g6 for n, g6 in covers if n <= r + 2]
-        expected_set = set()
-        for m in range(3, r + 3):
-            expected_set.add(canonical_form(union(complete_graph(3), empty_graph(m - 3))))
-            if m >= 4:
-                expected_set.add(canonical_form(union(path_graph(4), empty_graph(m - 4))))
-        ok = set(found) == expected_set and len(found) == len(expected_set)
-        checks.append(LemmaCheck("three-covers-of-size-two", r, ok, sorted(found), sorted(expected_set)))
+        found = sorted(g6 for n, g6 in covers if n <= r + 2)
+        graphs = [union(complete_graph(3), empty_graph(m - 3)) for m in range(3, r + 3)]
+        graphs += [union(path_graph(4), empty_graph(m - 4)) for m in range(4, r + 3)]
+        expected = sorted(canonical_form(h) for h in graphs)
+        checks.append(LemmaCheck("three-covers-of-size-two", r, found == expected, found, expected))
 
         if r >= 5:
             found = sorted(cover_window[r])
-            expected = sorted(
-                canonical_form(h)
-                for h in (union(complete_graph(3), empty_graph(r - 2)), union(path_graph(4), empty_graph(r - 3)))
-            )
+            pair = (union(complete_graph(3), empty_graph(r - 2)), union(path_graph(4), empty_graph(r - 3)))
+            expected = sorted(canonical_form(h) for h in pair)
             checks.append(LemmaCheck("cover-window", r, found == expected, found, expected))
 
             found = sorted(near_max[r])
             expected = sorted(canonical_form(_complete_minus(r + 1, edges)) for edges in (_TRIANGLE, _PATH4))
             checks.append(LemmaCheck("near-max-weight-window", r, found == expected, found, expected))
     return LemmaReport(checks, seen)
+
+
+# -- the suite table -------------------------------------------------------------
+
+FORMULA_N = 9
+MONOTONE_N = 120
+MONOTONE_OMEGA = 8
+SWEEP_N = 7
+NEIGHBORHOOD_RS = (3, 4, 5, 6)
+
+
+def _formulas() -> Check:
+    turan = [(n, r, turan_graph(n, r)) for n in range(1, FORMULA_N + 1) for r in range(1, n + 1)]
+    bad = [canonical_form(g) for n, r, g in turan
+           if clique_size_counts(g) != [turan_clique_count(n, r, t) for t in range(n + 1)]]
+    return Check("turan closed form vs direct count", f"n <= {FORMULA_N}", bad, len(turan))
+
+
+def _monotone() -> Check:
+    omegas = range(2, MONOTONE_OMEGA + 1)
+    bad = [f"omega={omega},t={t}" for omega in omegas for t in range(2, omega + 1)
+           if not rho_monotone_check(omega, t, MONOTONE_N)]
+    # the graphs are T(n, omega) for each omega and n <= MONOTONE_N
+    scope = f"n <= {MONOTONE_N}, omega <= {MONOTONE_OMEGA}"
+    return Check("turan density monotone in n", scope, bad, len(omegas) * MONOTONE_N)
+
+
+def _neighborhoods() -> Check:
+    report = verify_neighborhood_lemmas(NEIGHBORHOOD_RS)
+    # a lemma holds exactly when found and expected agree as multisets
+    bad: dict[str, None] = {}
+    for c in report.checks:
+        found, expected = Counter(c.found), Counter(c.expected)
+        bad.update(dict.fromkeys(sorted((found - expected) | (expected - found))))
+    scope = f"r = {NEIGHBORHOOD_RS[0]}..{NEIGHBORHOOD_RS[-1]}"
+    return Check("neighborhood classifications", scope, list(bad), report.graphs_seen)
+
+
+# suite -> the function that builds its row, or the keys of its Sweep rows
+SUITES: dict[str, Callable[[], Check] | tuple[str, ...]] = {
+    "formulas": _formulas,
+    "lemmas": tuple(LEMMA_CHECKS),
+    "zykov": ("zykov",),
+    "monotone": _monotone,
+    "superadd": ("superadd",),
+    "neighborhoods": _neighborhoods,
+}
+
+
+def suite_rows(names: Iterable[str]) -> Iterator[Check]:
+    """The rows of the named suites, in order.  The Sweep suites share
+    one sweep to n <= SWEEP_N, built when the first of them runs."""
+    sweep_rows = None
+    for name in names:
+        suite = SUITES[name]
+        if callable(suite):
+            yield suite()
+            continue
+        if sweep_rows is None:
+            sweep_rows = Sweep(SWEEP_N).run().checks()
+        yield from (sweep_rows[key] for key in suite)

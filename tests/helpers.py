@@ -11,7 +11,7 @@ import random
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
-from cdt import Graph, build_graph, relabel
+from cdt import Graph, build_graph, enumerate_all_up_to, relabel
 
 
 def all_labeled_graphs(n: int):
@@ -50,6 +50,13 @@ def brute_clique_count(g: Graph, t: int) -> int:
         if all(g.adj[u] & (1 << v) for u, v in combinations(combo, 2)):
             count += 1
     return count
+
+
+def level_graphs(n: int, dmax: int, omega: int, cap=None) -> list[Graph]:
+    """The class representatives `enumerate_all_up_to` visits at level n."""
+    out: list[Graph] = []
+    enumerate_all_up_to(n, dmax, omega, lambda g: g.n == n and out.append(g), cap=cap)
+    return out
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -158,12 +158,12 @@ def test_criterion_9_lemma_suites():
 
     sweep = Sweep(9).run()
     assert sweep.graphs_seen == sum((1, 2, 4, 11, 34, 156, 1044, 12346, 274668))
-    assert sweep.handshake_bad == []
-    assert sweep.ceiling_bad == []
-    assert sweep.equality_without_turan_neighborhood == []
-    assert sweep.seven_neighbor_bad == []
-    assert sweep.config_overlap_bad == []
-    assert sweep.detach_bad == []
+    assert sweep.bad["handshake"] == []
+    assert sweep.bad["ceiling"] == []
+    assert sweep.bad["equality"] == []
+    assert sweep.bad["heavy-neighbour"] == []
+    assert sweep.bad["configurations"] == []
+    assert sweep.bad["detachability"] == []
 
     # Turan graphs maximize each clique count, uniquely when nonzero
     for (n, omega, t), (best, wits) in sorted(sweep.zykov.items()):

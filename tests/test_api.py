@@ -1,5 +1,9 @@
 """The public surface of the package."""
 
+import ast
+import re
+from pathlib import Path
+
 import cdt
 
 # A public name is added or removed only with a reason recorded in
@@ -12,7 +16,7 @@ PUBLIC_NAMES = {
     "bt_graph", "build_graph", "canonical_form", "canonical_graph", "capped_weight_bound",
     "clique_count", "clique_number", "clique_size_counts", "complement", "complete_graph",
     "conjectured_value", "cycle_graph", "decompose", "density", "detach_sufficient",
-    "edge_weight", "empty_graph", "enumerate_all_up_to", "enumerate_class", "exact_value",
+    "edge_weight", "empty_graph", "enumerate_all_up_to", "exact_value",
     "find_configurations", "g_star", "graph6_decode", "graph6_encode", "in_class", "induced",
     "is_detachable", "is_isomorphic", "is_perfect_vertex", "join", "lower_bound",
     "lower_bound_graph", "max_degree", "neighborhood", "path_graph", "per_vertex_clique_counts",
@@ -24,3 +28,38 @@ PUBLIC_NAMES = {
 
 def test_public_names_match_snapshot():
     assert sorted(cdt.__all__) == sorted(PUBLIC_NAMES)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _module_level_definitions(tree: ast.Module):
+    """(name, node) for each function, class and constant a module
+    defines; dunders such as ``__version__`` are read by tools, not code."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (
+                (t.id, node) for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")
+            )
+
+
+def test_every_module_level_definition_is_referenced():
+    sources = {
+        path: path.read_text()
+        for folder in ("src", "tests", "demos", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    unreferenced = []
+    for path in sorted((ROOT / "src" / "cdt").glob("*.py")):
+        lines = sources[path].splitlines()
+        for name, node in _module_level_definitions(ast.parse(sources[path])):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            # the definition's own lines are not a reference
+            rest = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
+            texts = [rest] + [text for other, text in sources.items() if other != path]
+            if not any(word.search(text) for text in texts):
+                unreferenced.append(f"{path.name}:{name}")
+    assert unreferenced == []

@@ -274,12 +274,24 @@ def test_search_invalid_flags_exit_2():
 def test_verify_formulas_passes(capsys):
     code, out, _ = run(capsys, ["verify", "formulas"])
     assert code == 0
-    assert out.startswith("ok")
+    assert out.splitlines() == ["ok   turan closed form vs direct count (n <= 9, 45 graphs)"]
+
+
+def test_verify_formulas_catches_planted_fault(capsys, monkeypatch):
+    real = cdt.verify.turan_clique_count
+    monkeypatch.setattr(cdt.verify, "turan_clique_count", lambda n, r, t: real(n, r, t) + (t == 2))
+    code, out, _ = run(capsys, ["verify", "formulas"])
+    [fail] = out.splitlines()
+    assert code == 5 and fail.startswith("FAIL turan closed form vs direct count (n <= 9, 45 graphs): ")
+    named = fail.split(": ")[1].split()
+    assert len(named) == len(set(named)) == 3
+    assert all(cdt.graph6_decode(g6).n >= 1 for g6 in named)
 
 
 def test_verify_monotone_passes(capsys):
     code, out, _ = run(capsys, ["verify", "monotone"])
     assert code == 0
+    assert out.splitlines() == ["ok   turan density monotone in n (n <= 120, omega <= 8, 840 graphs)"]
 
 
 def test_verify_superadd_passes(capsys):
@@ -315,8 +327,10 @@ def test_verify_unknown_suite_exit_2():
 
 
 def test_verify_failing_check_exits_5(capsys, monkeypatch):
-    import cdt.cli as cli
-
-    monkeypatch.setitem(cli._SUITES, "monotone", lambda: False)
-    code, _, _ = run(capsys, ["verify", "monotone"])
+    monkeypatch.setattr(cdt.verify, "rho_monotone_check", lambda omega, t, n_max: False)
+    code, out, _ = run(capsys, ["verify", "monotone"])
     assert code == 5
+    assert out.splitlines() == [
+        "FAIL turan density monotone in n (n <= 120, omega <= 8, 840 graphs):"
+        " omega=2,t=2 omega=3,t=2 omega=3,t=3"
+    ]

@@ -14,7 +14,6 @@ from cdt import (
     clique_count,
     clique_number,
     enumerate_all_up_to,
-    enumerate_class,
     graph6_decode,
     lower_bound,
     max_degree,
@@ -25,7 +24,8 @@ from cdt import (
     verify_neighborhood_lemmas,
 )
 
-from helpers import brute_classes, inline_pool_context
+from cdt.verify import Sweep
+from helpers import brute_classes, inline_pool_context, level_graphs
 
 
 KNOWN_UNCONSTRAINED = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -33,7 +33,7 @@ KNOWN_UNCONSTRAINED = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 def test_unconstrained_counts_match_catalog():
     for n, want in KNOWN_UNCONSTRAINED.items():
-        assert enumerate_class(n, n, n + 1) == want
+        assert len(level_graphs(n, n, n + 1)) == want
 
 
 # Golden outputs of the engine, recorded before the refinement was
@@ -82,11 +82,11 @@ def test_best_up_to_levels_match_golden():
 
 
 def test_all_four_vertex_graphs():
-    assert enumerate_class(4, 3, 4) == 11
+    assert len(level_graphs(4, 3, 4)) == 11
 
 
 def test_degree_zero_leaves_only_the_edgeless_graph():
-    assert enumerate_class(3, 0, 3) == 1
+    assert len(level_graphs(3, 0, 3)) == 1
 
 
 def test_constrained_counts_match_labeled_filter_oracle():
@@ -100,19 +100,18 @@ def test_constrained_counts_match_labeled_filter_oracle():
                     lambda g: max_degree(g) <= dmax and clique_number(g) <= omega,
                 )
             )
-            assert enumerate_class(n, dmax, omega) == want, (n, dmax, omega)
+            assert len(level_graphs(n, dmax, omega)) == want, (n, dmax, omega)
 
 
 def test_five_vertex_degree_two_class():
     want = len(
         brute_classes(5, lambda g: max_degree(g) <= 2 and clique_number(g) <= 3)
     )
-    assert enumerate_class(5, 2, 3) == want
+    assert len(level_graphs(5, 2, 3)) == want
 
 
 def test_enumeration_is_isomorph_free():
-    forms = []
-    enumerate_class(6, 3, 3, lambda g: forms.append(canonical_form(g)))
+    forms = [canonical_form(g) for g in level_graphs(6, 3, 3)]
     assert len(forms) == len(set(forms))
 
 
@@ -137,16 +136,16 @@ def test_pruned_equals_catalog_filtered():
                     for g in by_level[n]
                     if max_degree(g) <= dmax and clique_number(g) <= omega
                 )
-                assert enumerate_class(n, dmax, omega) == want, (n, dmax, omega)
+                assert len(level_graphs(n, dmax, omega)) == want, (n, dmax, omega)
 
 
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
-        enumerate_class(12, 3, 3)
+        level_graphs(12, 3, 3)
     with pytest.raises(CapExceeded):
         best_up_to(12, 3, 3, 3)
     with pytest.raises(CapExceeded):
-        enumerate_class(17, 3, 3, cap=17)  # hard cap wins
+        level_graphs(17, 3, 3, cap=17)  # hard cap wins
 
 
 # -- maxima ---------------------------------------------------------------
@@ -161,7 +160,7 @@ def test_max_density_above_clique_bound_is_zero():
     lv = best_up_to(5, 4, 2, 3).level(5)
     assert lv.max_density == 0
     # every triangle-free class member is then a witness
-    assert len(lv.witnesses) == enumerate_class(5, 4, 2)
+    assert len(lv.witnesses) == len(level_graphs(5, 4, 2))
 
 
 def test_max_density_matches_proven_value_small():
@@ -277,6 +276,17 @@ def test_superadditive_maxima_strictly_grow_from_triangle():
     assert best[1] == best[2] == 0
     for n in range(4, 9):
         assert best[n] > best[n - 1] >= 1
+
+
+# -- the lemma sweep -------------------------------------------------------------
+
+def test_sweep_lists_each_failing_graph_once():
+    sweep = Sweep(5)
+    for table in sweep.ceilings.values():
+        table[:] = [0] * len(table)  # every graph with an edge now breaks a ceiling
+    ceiling = sweep.run().checks()["ceiling"]
+    assert not ceiling.ok
+    assert len(ceiling.failures) == len(set(ceiling.failures)) <= ceiling.covered
 
 
 # -- neighborhood classifications ----------------------------------------------
