@@ -50,7 +50,9 @@ from typing import Optional, Sequence
 from .graphs import Graph, graph6_encode
 
 
-def refine_colors(n: int, adj: Sequence[int], colors: Optional[list[int]] = None) -> list[int]:
+def refine_colors(
+    n: int, adj: Sequence[int], colors: Optional[list[int]] = None, watch: int = -1
+) -> list[int]:
     """Coarsest equitable coloring refining ``colors`` (default: unit).
 
     Color ids are ranks 0..k-1 assigned in an isomorphism-invariant
@@ -63,6 +65,14 @@ def refine_colors(n: int, adj: Sequence[int], colors: Optional[list[int]] = None
     primary key, so the last cell holds only maximum-degree vertices.
     The canonical-parent rule relies on this: `cdt.search._expand`
     offers `_accept` only children whose new vertex has maximum degree.
+
+    With ``watch`` set to a vertex, refinement stops between rounds as
+    soon as that vertex has left the last cell or is alone in it.  A
+    round only splits cells and keeps their order, so the last cell of
+    the equitable coloring lies inside the current one: the watched
+    vertex's membership of it, and whether it is alone there, are then
+    already decided.  The coloring returned is not equitable in that
+    case; when neither happens it is the full refinement.
     """
     if n == 0:
         return []
@@ -81,6 +91,10 @@ def refine_colors(n: int, adj: Sequence[int], colors: Optional[list[int]] = None
         masks = [0] * k
         for v in range(n):
             masks[colors[v]] |= 1 << v
+        if watch >= 0:
+            last = masks[-1]
+            if not last >> watch & 1 or last == 1 << watch:
+                break
         sigs = []
         for v in range(n):
             a = adj[v]

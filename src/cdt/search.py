@@ -76,37 +76,57 @@ def _subset_reps(n: int, gens: list[tuple[int, ...]], masks: list[int]) -> Itera
         yield m
 
 
-def _accept(n: int, adj: Sequence[int]) -> bool:
+def _accept(n: int, adj: Sequence[int]) -> bool | tuple[Optional[list]]:
     """Canonical parent check: is the new vertex (index n-1) equivalent
     to the canonical deletion vertex?
+
+    Returns False when it is not.  Otherwise returns a 1-tuple: the
+    generators of the child's automorphism group when the check
+    computed them, else None.
 
     The deletion vertex is the one the canonical labeling puts last; it
     always lies in the last cell of the equitable refinement, which
     holds only maximum-degree vertices.  `_expand` offers only children
-    whose new vertex has maximum degree, so a refinement pass rejects
-    most candidates and settles singleton cells, and only then is a
-    full canonical labeling computed.
+    whose new vertex has maximum degree.  Refinement watches the new
+    vertex and stops as soon as it has left the last cell (reject) or
+    is alone in it (accept); only when neither happens is a full
+    canonical labeling computed, on the now equitable coloring.
+
+    Those generators are exactly ``canon_raw(n, adj)[2]``, in the same
+    order: from the unit coloring, `canon_raw` first refines to the
+    same equitable coloring, so it walks the same tree.  `_expand` of
+    the child reuses them instead of labeling the child again.
     """
     w = n - 1
-    colors = refine_colors(n, adj)
+    colors = refine_colors(n, adj, watch=w)
     last = max(colors)
     if colors[w] != last:
         return False
     if colors.count(last) == 1:
-        return True
+        return (None,)
     lab, _, gens = canon_raw(n, adj, colors)
     z = lab[n - 1]
-    if z == w:
-        return True
-    if not gens:
-        return False
-    parent = _orbit_partition(n, gens)
-    return _orbit_find(parent, z) == _orbit_find(parent, w)
+    if z != w:
+        if not gens:
+            return False
+        parent = _orbit_partition(n, gens)
+        if _orbit_find(parent, z) != _orbit_find(parent, w):
+            return False
+    return (gens,)
 
 
-def _expand(n_p: int, adj_p: Sequence[int], dmax: int, omega: int) -> Iterator[tuple[int, ...]]:
-    """Accepted children of a parent: one new vertex joined to an
-    orbit-representative subset that keeps the class constraints.
+def _expand(
+    n_p: int, adj_p: Sequence[int], dmax: int, omega: int, gens: Optional[list] = None
+) -> Iterator[tuple[tuple[int, ...], Optional[list]]]:
+    """Accepted children of a parent, each with its group generators
+    from `_accept` (None when refinement alone decided): one new vertex
+    joined to an orbit-representative subset that keeps the class
+    constraints.
+
+    ``gens`` generates the parent's automorphism group when its own
+    `_accept` computed them; they equal ``canon_raw(n_p, adj_p)[2]``
+    (see `_accept`), so the subset representatives and their order
+    are the same as when the parent is labeled here.
 
     The degree test of the canonical-parent rule is decided here, on
     the subset, before orbit reduction: the new vertex must end with
@@ -118,7 +138,8 @@ def _expand(n_p: int, adj_p: Sequence[int], dmax: int, omega: int) -> Iterator[t
     increasing order, yields the same representatives in the same
     order as reducing all subsets and filtering after.
     """
-    gens = canon_raw(n_p, adj_p)[2]
+    if gens is None:
+        gens = canon_raw(n_p, adj_p)[2]
     degs = [a.bit_count() for a in adj_p]
     top = max(degs)
     free = 0
@@ -144,8 +165,9 @@ def _expand(n_p: int, adj_p: Sequence[int], dmax: int, omega: int) -> Iterator[t
         adj_c = tuple(
             adj_p[v] | bit if mask & (1 << v) else adj_p[v] for v in range(n_p)
         ) + (mask,)
-        if _accept(n_p + 1, adj_c):
-            yield adj_c
+        accepted = _accept(n_p + 1, adj_c)
+        if accepted:
+            yield adj_c, accepted[0]
 
 
 # -- the depth-first walker ------------------------------------------------
@@ -156,19 +178,24 @@ def _walk(
     n_max: int,
     dmax: int,
     omega: int,
-    visit: Callable[[int, tuple[int, ...]], bool],
+    visit: Callable[[int, tuple[int, ...], Optional[list]], bool],
+    gens: Optional[list] = None,
 ) -> None:
     """Visit ``adj`` and, when ``visit`` returns True, every class in its
-    subtree up to ``n_max`` vertices."""
-    if not visit(n, adj) or n >= n_max:
+    subtree up to ``n_max`` vertices.  ``gens``, when known, generates
+    the automorphism group of ``adj`` and is passed on to ``visit`` and
+    `_expand`."""
+    if not visit(n, adj, gens) or n >= n_max:
         return
-    for adj_c in _expand(n, adj, dmax, omega):
-        _walk(n + 1, adj_c, n_max, dmax, omega, visit)
+    for adj_c, gens_c in _expand(n, adj, dmax, omega, gens):
+        _walk(n + 1, adj_c, n_max, dmax, omega, visit, gens_c)
 
 
 class _Agg:
     """Stats visitor for `_walk`: per-level counts, best t-clique count and
-    all maximizers.  Split-level nodes go on ``frontier`` for pool tasks.
+    all maximizers.  Split-level nodes go on ``frontier`` for pool tasks,
+    with their group generators, so that a task labels its root exactly
+    when a serial walk would.
     ``bound`` = (num, den, ceil_per_vertex, n_target) cuts a subtree that
     cannot reach density num/den: each added vertex carries at most
     ceil_per_vertex t-cliques, and density is largest at the largest size."""
@@ -181,11 +208,11 @@ class _Agg:
         self.split = split
         # n -> [count, best_kt, witness adjacency tuples]
         self.levels: dict[int, list] = {}
-        self.frontier: list[tuple[int, ...]] = []
+        self.frontier: list[tuple[tuple[int, ...], Optional[list]]] = []
 
-    def visit(self, n: int, adj: tuple[int, ...]) -> bool:
+    def visit(self, n: int, adj: tuple[int, ...], gens: Optional[list]) -> bool:
         if n == self.split:
-            self.frontier.append(adj)
+            self.frontier.append((adj, gens))
             return False
         kt = _count_of_size(adj, (1 << n) - 1, self.t)
         self.add(n, 1, kt, (adj,))
@@ -208,16 +235,17 @@ class _Agg:
 
 
 def _subtree_worker(args) -> dict[int, list]:
-    adj_root, n_root, n_max, dmax, omega, t, bound = args
+    adj_root, gens_root, n_root, n_max, dmax, omega, t, bound = args
     agg = _Agg(t, bound)
-    _walk(n_root, adj_root, n_max, dmax, omega, agg.visit)
+    _walk(n_root, adj_root, n_max, dmax, omega, agg.visit, gens_root)
     return agg.levels
 
 
 # The split-level tasks are far from even: of the 10 level-4 tasks of
-# best_up_to(8, 5, 3, 3), one takes about 60% of the serial time (about
-# 80% at n_max = 9), so no worker count can make the pool more than
-# about 1.7x (1.25x) faster than one worker.
+# best_up_to(8, 5, 3, 3), one takes 56-60% of the serial time (74-77%
+# at n_max = 9; each task timed alone, 2-CPU host, Python 3.11), so no
+# worker count can make the pool more than about 1.7x (1.3x) faster
+# than one worker.
 _SPLIT_LEVEL = 4
 
 
@@ -241,7 +269,7 @@ def _search_levels(
     _walk(1, (0,), n_max, dmax, omega, agg.visit)
     if not agg.frontier:
         return agg.levels
-    tasks = [(adj, split, n_max, dmax, omega, t, bound) for adj in agg.frontier]
+    tasks = [(adj, gens, split, n_max, dmax, omega, t, bound) for adj, gens in agg.frontier]
     ctx = get_context("fork")
     # workers ignore Ctrl-C: the parent alone reports it, and leaving the
     # `with` block terminates them
@@ -355,7 +383,7 @@ def enumerate_all_up_to(
     _check_cap(n_max, cap)
     count = 0
 
-    def visit(level: int, adj: tuple[int, ...]) -> bool:
+    def visit(level: int, adj: tuple[int, ...], gens) -> bool:
         nonlocal count
         count += 1
         visitor(Graph._trusted(level, adj))

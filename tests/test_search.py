@@ -1,7 +1,9 @@
 """Exhaustive enumeration engine and the brute-force verification ops."""
 
 import hashlib
+import random
 import signal
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,8 @@ from cdt import (
     verify_neighborhood_lemmas,
 )
 
+from cdt.canon import canon_raw, refine_colors, _orbit_find, _orbit_partition
+from cdt.search import _accept
 from cdt.verify import Sweep
 from helpers import brute_classes, inline_pool_context, level_graphs
 
@@ -44,6 +48,10 @@ GOLDEN_STREAM_7 = "307b2c2ecb657bbd0c746cc21e852c56f74a4df3b6c5ec8829b9fe629bb96
 # degree bound saturates vertices and the new vertex often ties the
 # parent's maximum degree, which dmax = n never exercises
 GOLDEN_STREAM_9_3_4 = "55ad2c13e8b51182c59c373aa87d4a07ed4246aa323ec18ac7b99ebd1169b946"
+# recorded before refinement stopped early in the canonical-parent test
+# and the child's group was handed to its own expansion: the class the
+# `extremal` benchmark searches, through the `_has_clique` path
+GOLDEN_STREAM_8_5_3 = "ead6f346c5ce0772cb30292b3f948fd92e969cab9c2befead102877389c53b9a"
 GOLDEN_LEVELS_8_5_3_3 = [
     (1, 1, 0, ("@",)),
     (2, 2, 0, ("A?", "A_")),
@@ -70,6 +78,10 @@ def test_enumeration_stream_matches_golden_digest():
 
 def test_degree_bounded_stream_matches_golden_digest():
     assert _stream_digest(9, 3, 4) == (1842, GOLDEN_STREAM_9_3_4)
+
+
+def test_clique_bounded_stream_matches_golden_digest():
+    assert _stream_digest(8, 5, 3) == (6138, GOLDEN_STREAM_8_5_3)
 
 
 def test_best_up_to_levels_match_golden():
@@ -125,18 +137,16 @@ def test_visited_graphs_satisfy_constraints():
 
 def test_pruned_equals_catalog_filtered():
     # enumerate unconstrained once, filter by the class predicate, and
-    # compare totals against the pruned enumeration
-    by_level: dict[int, list] = {n: [] for n in range(1, 8)}
-    enumerate_all_up_to(7, 7, 8, lambda g: by_level[g.n].append(g))
+    # compare per-level totals against one pruned enumeration per class
+    catalog = []
+    enumerate_all_up_to(7, 7, 8, lambda g: catalog.append((g.n, max_degree(g), clique_number(g))))
     for dmax in range(2, 7):
         for omega in range(2, 7):
+            got = Counter()
+            enumerate_all_up_to(7, dmax, omega, lambda g: got.update((g.n,)))
+            want = Counter(n for n, d, w in catalog if d <= dmax and w <= omega)
             for n in range(1, 8):
-                want = sum(
-                    1
-                    for g in by_level[n]
-                    if max_degree(g) <= dmax and clique_number(g) <= omega
-                )
-                assert len(level_graphs(n, dmax, omega)) == want, (n, dmax, omega)
+                assert got[n] == want[n], (n, dmax, omega)
 
 
 def test_cap_enforced():
@@ -146,6 +156,89 @@ def test_cap_enforced():
         best_up_to(12, 3, 3, 3)
     with pytest.raises(CapExceeded):
         level_graphs(17, 3, 3, cap=17)  # hard cap wins
+
+
+# -- the canonical-parent test -------------------------------------------------
+
+def _reference_accept(n, adj):
+    """The canonical-parent test before refinement stopped early and
+    handed back the child's group, kept verbatim as the oracle."""
+    w = n - 1
+    colors = refine_colors(n, adj)
+    last = max(colors)
+    if colors[w] != last:
+        return False
+    if colors.count(last) == 1:
+        return True
+    lab, _, gens = canon_raw(n, adj, colors)
+    z = lab[n - 1]
+    if z == w:
+        return True
+    if not gens:
+        return False
+    parent = _orbit_partition(n, gens)
+    return _orbit_find(parent, z) == _orbit_find(parent, w)
+
+
+def _degree_candidates(n, adj, dmax):
+    """Every child of ``adj`` whose new vertex ends with the maximum
+    degree, as `_expand` pre-filters them, without orbit reduction."""
+    degs = [a.bit_count() for a in adj]
+    top = max(degs)
+    for mask in range(1 << n):
+        size = mask.bit_count()
+        if not top <= size <= dmax:
+            continue
+        if any(mask >> v & 1 and (degs[v] >= dmax or (size == top and degs[v] == top))
+               for v in range(n)):
+            continue
+        yield tuple(a | 1 << n if mask >> v & 1 else a for v, a in enumerate(adj)) + (mask,)
+
+
+@pytest.mark.parametrize("dmax, omega", [(7, 8), (4, 3)])
+def test_accept_matches_reference_and_hands_over_the_group(dmax, omega):
+    parents = []
+    enumerate_all_up_to(7, dmax, omega, lambda g: parents.append((g.n, g.adj)))
+    decided = handed = 0
+    for n, adj in parents:
+        for child in _degree_candidates(n, adj, dmax):
+            got = _accept(n + 1, child)
+            assert bool(got) == _reference_accept(n + 1, child), child
+            if got:
+                decided += 1
+                if got[0] is not None:
+                    handed += 1
+                    assert got[0] == canon_raw(n + 1, child)[2], child
+    assert decided > handed > 0
+
+
+def _last_cell(colors):
+    last = max(colors)
+    return {v for v, c in enumerate(colors) if c == last}
+
+
+def test_watched_refinement_decides_as_the_full_one():
+    rng = random.Random(9)
+    graphs = []
+    enumerate_all_up_to(7, 7, 8, lambda g: graphs.append((g.n, g.adj)))
+    stopped = 0
+    for n, adj in graphs:
+        starts = [None, [rng.randrange(n) for _ in range(n)], [rng.randrange(3) for _ in range(n)]]
+        for colors in starts:
+            full = refine_colors(n, adj, None if colors is None else list(colors))
+            cell = _last_cell(full)
+            for v in range(n):
+                got = refine_colors(n, adj, None if colors is None else list(colors), watch=v)
+                if got == full:
+                    continue
+                stopped += 1
+                # stopped early: the vertex is decided, and as the full
+                # refinement decides it
+                early = _last_cell(got)
+                assert v not in early or early == {v}, (adj, colors, v)
+                assert (v in early) == (v in cell), (adj, colors, v)
+                assert (early == {v}) == (cell == {v}), (adj, colors, v)
+    assert stopped > 0
 
 
 # -- maxima ---------------------------------------------------------------
