@@ -147,6 +147,10 @@ def canon_raw(
     Returns (lab, form, gens): lab[i] is the vertex placed at position
     i, form the relabeled adjacency rows (the canonical form), and gens
     a generating set of the automorphism group.
+
+    ``colors``, when given, must be a full `refine_colors` result, an
+    equitable coloring in ranks; it is the root of the search as it
+    stands.  By default the root is the refined unit coloring.
     """
     if n == 0:
         return [], (), []
@@ -201,10 +205,10 @@ def canon_raw(
             best_form, best_lab, best_base = form, lab, list(base)
         return n
 
-    def rec(colors: Optional[list[int]], base: list[int]) -> int:
-        """Search below the node reached by ``base``; return the depth
-        of the node to resume at (n when no jump is due)."""
-        colors = refine_colors(n, adj, colors)
+    def rec(colors: list[int], base: list[int]) -> int:
+        """Search below the node reached by ``base``, whose equitable
+        coloring is ``colors``; return the depth of the node to resume
+        at (n when no jump is due)."""
         ncolors = max(colors) + 1
         if ncolors == n:
             return handle_leaf(colors, base)
@@ -233,13 +237,13 @@ def canon_raw(
             child = [2 * c for c in colors]
             child[v] -= 1
             base.append(v)
-            resume = rec(child, base)
+            resume = rec(refine_colors(n, adj, child), base)
             base.pop()
             if resume < depth:
                 return resume
         return n
 
-    rec(colors, [])
+    rec(refine_colors(n, adj) if colors is None else colors, [])
     # rec holds itself through its closure cell; clearing the cell frees
     # the graph and the search state now, not at the next cyclic collection
     del rec

@@ -45,6 +45,13 @@ def _check_cap(n: int, cap: Optional[int]) -> None:
         raise CapExceeded(f"n = {n} exceeds the enumeration cap {limit}")
 
 
+def _check_class(dmax: int, omega: int) -> None:
+    if dmax < 0:
+        raise ValueError("degree bound must be non-negative")
+    if omega < 1:
+        raise ValueError("clique bound must be at least 1")
+
+
 # -- one augmentation step ----------------------------------------------
 
 def _subset_reps(n: int, gens: list[tuple[int, ...]], masks: list[int]) -> Iterator[int]:
@@ -89,8 +96,9 @@ def _accept(n: int, adj: Sequence[int]) -> bool | tuple[Optional[list]]:
     holds only maximum-degree vertices.  `_expand` offers only children
     whose new vertex has maximum degree.  Refinement watches the new
     vertex and stops as soon as it has left the last cell (reject) or
-    is alone in it (accept); only when neither happens is a full
-    canonical labeling computed, on the now equitable coloring.
+    is alone in it (accept).  Only when neither happens is a full
+    canonical labeling computed; the coloring is then the full
+    refinement, which `canon_raw` takes as its root unrefined.
 
     Those generators are exactly ``canon_raw(n, adj)[2]``, in the same
     order: from the unit coloring, `canon_raw` first refines to the
@@ -258,8 +266,6 @@ def _search_levels(
     prune_target: Optional[Fraction] = None,
 ) -> dict[int, list]:
     """Stats for every level 1..n_max; deterministic for any worker count."""
-    if n_max < 1:
-        return {}
     bound = None
     if prune_target is not None:
         ceil_pv = turan_clique_count(dmax, max(omega - 1, 1), t - 1)
@@ -338,10 +344,7 @@ def best_up_to(
         raise ValueError("need at least one vertex")
     if t < 2:
         raise ValueError("clique size must be at least 2")
-    if dmax < 0:
-        raise ValueError("degree bound must be non-negative")
-    if omega < 1:
-        raise ValueError("clique bound must be at least 1")
+    _check_class(dmax, omega)
     if thread_count < 1:
         raise ValueError("need at least one worker thread")
     _check_cap(n_max, cap)
@@ -380,6 +383,7 @@ def enumerate_all_up_to(
 ) -> int:
     """Visit one representative per isomorphism class of every size
     1..n_max; returns the number visited."""
+    _check_class(dmax, omega)
     _check_cap(n_max, cap)
     count = 0
 

@@ -6,13 +6,14 @@ rows; each row names its scope, the graphs it covered and its failing
 entries, each once.  ``lemmas``, ``zykov`` and ``superadd`` are rows of
 one `Sweep`, one isomorph-free pass over every graph on at most n_max
 vertices (7 here, 9 in acceptance criterion 9).  The neighbourhood
-classifications run on one pass to r+2 vertices.
+classifications run on one pass to r+2 vertices and give one row per
+lemma and r, each covering the graph sizes it scans; ``neighborhoods``
+merges them into one row.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -207,25 +208,6 @@ class Sweep:
 
 # -- neighbourhood classifications ---------------------------------------------
 
-@dataclass
-class LemmaCheck:
-    name: str
-    r: int
-    ok: bool
-    found: list[str] = field(default_factory=list)
-    expected: list[str] = field(default_factory=list)
-
-
-@dataclass
-class LemmaReport:
-    checks: list[LemmaCheck]
-    graphs_seen: int  # graphs the enumeration pass scanned
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
 _TRIANGLE = ((0, 1), (0, 2), (1, 2))
 _PATH4 = ((0, 1), (1, 2), (2, 3))
 
@@ -238,7 +220,7 @@ def _complete_minus(m: int, edges) -> Graph:
     return Graph(m, adj)
 
 
-def verify_neighborhood_lemmas(r_values: Sequence[int]) -> LemmaReport:
+def verify_neighborhood_lemmas(r_values: Sequence[int]) -> list[Check]:
     """Reproduce the near-extremal neighborhood classifications by
     exhaustion.
 
@@ -249,6 +231,10 @@ def verify_neighborhood_lemmas(r_values: Sequence[int]) -> LemmaReport:
     and for r >= 5 the analogous window on k_{r-2} pins graphs on
     <= r+1 vertices to K_{r+1} minus a triangle or minus a 4-path.
 
+    One row per (lemma, r), in that order.  Its scope names r and the
+    vertex counts the lemma scans, it covers the graphs of those sizes,
+    and its failures are the graphs found or expected but not both.
+
     One pass over every graph on at most max(r_values) + 2 vertices
     serves every r: the degree and clique bounds r+1 and r+2 exclude
     nothing on that many vertices.
@@ -256,6 +242,7 @@ def verify_neighborhood_lemmas(r_values: Sequence[int]) -> LemmaReport:
     if any(r < 3 for r in r_values):
         raise ValueError("classification needs r >= 3")
     windows = {r: (Fraction(4 * r - 16) + Fraction(36, r + 2), 4 * r - 8) for r in r_values if r >= 5}
+    per_n: Counter[int] = Counter()  # graphs scanned, by vertex count
     three_max: dict[int, list[str]] = {r: [] for r in r_values}
     covers: list[tuple[int, str]] = []  # (n, graph6); the predicate does not depend on r
     cover_window: dict[int, list[str]] = {r: [] for r in windows}
@@ -263,6 +250,7 @@ def verify_neighborhood_lemmas(r_values: Sequence[int]) -> LemmaReport:
 
     def visit(g: Graph) -> None:
         n = g.n
+        per_n[n] += 1
         counts = _size_counts(g.adj, g.vertex_mask())
         omega_g = max(t for t in range(n + 1) if counts[t])
         # exactly three covers of size two and none smaller
@@ -281,30 +269,33 @@ def verify_neighborhood_lemmas(r_values: Sequence[int]) -> LemmaReport:
                 near_max[r].append(canonical_form(g))
 
     r_top = max(r_values, default=0)
-    seen = enumerate_all_up_to(r_top + 2, r_top + 1, r_top + 2, visit) if r_values else 0
+    if r_values:
+        enumerate_all_up_to(r_top + 2, r_top + 1, r_top + 2, visit)
 
-    checks: list[LemmaCheck] = []
+    def row(name: str, r: int, ns: range, found: list[str], expected: Iterable[Graph]) -> Check:
+        """The lemma holds exactly when found and expected agree as multisets."""
+        have, want = Counter(found), Counter(canonical_form(h) for h in expected)
+        sizes = f"{ns[0]}..{ns[-1]}" if len(ns) > 1 else f"{ns[0]}"
+        return Check(name, f"r = {r}, n = {sizes}", sorted((have - want) | (want - have)),
+                     sum(per_n[n] for n in ns))
+
+    rows = []
     for r in r_values:
-        found = sorted(three_max[r])
-        expected = sorted(canonical_form(_complete_minus(r + 2, edges)) for edges in (_TRIANGLE, _PATH4))
-        checks.append(LemmaCheck("three-max-cliques", r, found == expected, found, expected))
+        pair = [_complete_minus(r + 2, edges) for edges in (_TRIANGLE, _PATH4)]
+        rows.append(row("three-max-cliques", r, range(r, r + 3), three_max[r], pair))
 
-        found = sorted(g6 for n, g6 in covers if n <= r + 2)
         graphs = [union(complete_graph(3), empty_graph(m - 3)) for m in range(3, r + 3)]
         graphs += [union(path_graph(4), empty_graph(m - 4)) for m in range(4, r + 3)]
-        expected = sorted(canonical_form(h) for h in graphs)
-        checks.append(LemmaCheck("three-covers-of-size-two", r, found == expected, found, expected))
+        found = [g6 for n, g6 in covers if n <= r + 2]
+        rows.append(row("three-covers-of-size-two", r, range(1, r + 3), found, graphs))
 
         if r >= 5:
-            found = sorted(cover_window[r])
-            pair = (union(complete_graph(3), empty_graph(r - 2)), union(path_graph(4), empty_graph(r - 3)))
-            expected = sorted(canonical_form(h) for h in pair)
-            checks.append(LemmaCheck("cover-window", r, found == expected, found, expected))
+            pair = [union(complete_graph(3), empty_graph(r - 2)), union(path_graph(4), empty_graph(r - 3))]
+            rows.append(row("cover-window", r, range(r + 1, r + 2), cover_window[r], pair))
 
-            found = sorted(near_max[r])
-            expected = sorted(canonical_form(_complete_minus(r + 1, edges)) for edges in (_TRIANGLE, _PATH4))
-            checks.append(LemmaCheck("near-max-weight-window", r, found == expected, found, expected))
-    return LemmaReport(checks, seen)
+            pair = [_complete_minus(r + 1, edges) for edges in (_TRIANGLE, _PATH4)]
+            rows.append(row("near-max-weight-window", r, range(1, r + 2), near_max[r], pair))
+    return rows
 
 
 # -- the suite table -------------------------------------------------------------
@@ -333,14 +324,11 @@ def _monotone() -> Check:
 
 
 def _neighborhoods() -> Check:
-    report = verify_neighborhood_lemmas(NEIGHBORHOOD_RS)
-    # a lemma holds exactly when found and expected agree as multisets
-    bad: dict[str, None] = {}
-    for c in report.checks:
-        found, expected = Counter(c.found), Counter(c.expected)
-        bad.update(dict.fromkeys(sorted((found - expected) | (expected - found))))
+    rows = verify_neighborhood_lemmas(NEIGHBORHOOD_RS)
+    bad = dict.fromkeys(g6 for row in rows for g6 in row.failures)
     scope = f"r = {NEIGHBORHOOD_RS[0]}..{NEIGHBORHOOD_RS[-1]}"
-    return Check("neighborhood classifications", scope, list(bad), report.graphs_seen)
+    # the covers row of the largest r spans every graph the pass scanned
+    return Check("neighborhood classifications", scope, list(bad), max(row.covered for row in rows))
 
 
 # suite -> the function that builds its row, or the keys of its Sweep rows

@@ -15,6 +15,7 @@ from cdt import (
     canonical_form,
     clique_size_counts,
     g_star,
+    is_isomorphic,
     lower_bound,
     probe_conjecture,
     rho_monotone_check,
@@ -24,7 +25,7 @@ from cdt import (
     upper_bound,
     verify_neighborhood_lemmas,
 )
-from cdt.verify import Sweep
+from cdt.verify import Sweep, _PATH4, _TRIANGLE, _complete_minus
 
 
 def _crit(num: int, desc: str, budget_s: float):
@@ -185,16 +186,18 @@ def test_criterion_9_lemma_suites():
 
 @_crit(10, "neighborhood classifications for r = 3..5 and cover windows for r = 5, 6", 600)
 def test_criterion_10_neighborhood_classifications():
-    report = verify_neighborhood_lemmas([3, 4, 5, 6])
-    by_key = {(c.name, c.r): c for c in report.checks}
+    rows = verify_neighborhood_lemmas([3, 4, 5, 6])
+    assert all(row.ok for row in rows)
+    assert [row.covered for row in rows] == [49, 52, 201, 208, 1234, 1252, 156, 208, 13546, 13598, 1044, 1252]
+    by_key = {(row.name, row.scope): row for row in rows}
     for r in (3, 4, 5):
-        check = by_key[("three-max-cliques", r)]
-        assert check.ok
-        assert len(check.found) == 2  # exactly the two classified graphs
+        assert by_key[("three-max-cliques", f"r = {r}, n = {r}..{r + 2}")].ok
+        # the two classified graphs are distinct, so the ok row found exactly them
+        assert not is_isomorphic(_complete_minus(r + 2, _TRIANGLE), _complete_minus(r + 2, _PATH4))
     for r in (5, 6):
-        assert by_key[("cover-window", r)].ok
-        assert by_key[("near-max-weight-window", r)].ok
-        assert by_key[("three-covers-of-size-two", r)].ok
+        assert by_key[("cover-window", f"r = {r}, n = {r + 1}")].ok
+        assert by_key[("near-max-weight-window", f"r = {r}, n = 1..{r + 1}")].ok
+        assert by_key[("three-covers-of-size-two", f"r = {r}, n = 1..{r + 2}")].ok
 
 
 # -- criterion 11 --------------------------------------------------------------------

@@ -63,3 +63,20 @@ def test_every_module_level_definition_is_referenced():
             if not any(word.search(text) for text in texts):
                 unreferenced.append(f"{path.name}:{name}")
     assert unreferenced == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted((ROOT / "src" / "cdt").glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # it imports to re-export
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in imported if name not in used]
+    assert unused == []

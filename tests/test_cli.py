@@ -320,6 +320,16 @@ def test_verify_neighborhoods_reports_coverage(capsys):
     assert out.splitlines() == ["ok   neighborhood classifications (r = 3..6, 13598 graphs)"]
 
 
+def test_verify_neighborhoods_catches_planted_fault(capsys, monkeypatch):
+    monkeypatch.setattr(cdt.verify, "vertex_cover_count", lambda g, s: 0)
+    code, out, _ = run(capsys, ["verify", "neighborhoods"])
+    [fail] = out.splitlines()
+    assert code == 5 and fail.startswith("FAIL neighborhood classifications (r = 3..6, 13598 graphs): ")
+    named = fail.split(": ")[1].split()
+    assert 1 <= len(named) == len(set(named)) <= 3
+    assert all(cdt.graph6_decode(g6).n >= 1 for g6 in named)
+
+
 def test_verify_unknown_suite_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "everything"])

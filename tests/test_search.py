@@ -17,6 +17,7 @@ from cdt import (
     clique_number,
     enumerate_all_up_to,
     graph6_decode,
+    is_isomorphic,
     lower_bound,
     max_degree,
     probe_configuration_average,
@@ -28,7 +29,7 @@ from cdt import (
 
 from cdt.canon import canon_raw, refine_colors, _orbit_find, _orbit_partition
 from cdt.search import _accept
-from cdt.verify import Sweep
+from cdt.verify import Sweep, _PATH4, _TRIANGLE, _complete_minus
 from helpers import brute_classes, inline_pool_context, level_graphs
 
 
@@ -147,6 +148,17 @@ def test_pruned_equals_catalog_filtered():
             want = Counter(n for n, d, w in catalog if d <= dmax and w <= omega)
             for n in range(1, 8):
                 assert got[n] == want[n], (n, dmax, omega)
+
+
+@pytest.mark.parametrize("dmax, omega", [(-1, 3), (2, 0)])
+def test_enumerate_rejects_the_class_bounds_best_up_to_rejects(dmax, omega):
+    visited = []
+    with pytest.raises(ValueError) as got:
+        enumerate_all_up_to(3, dmax, omega, visited.append)
+    assert visited == []
+    with pytest.raises(ValueError) as want:
+        best_up_to(3, dmax, omega, 3)
+    assert str(got.value) == str(want.value)
 
 
 def test_cap_enforced():
@@ -385,11 +397,14 @@ def test_sweep_lists_each_failing_graph_once():
 # -- neighborhood classifications ----------------------------------------------
 
 def test_neighborhood_lemmas_small_r():
-    report = verify_neighborhood_lemmas([3, 4])
-    assert report.ok
-    names = {(c.name, c.r) for c in report.checks}
-    assert ("three-max-cliques", 3) in names
-    assert ("three-covers-of-size-two", 4) in names
+    rows = verify_neighborhood_lemmas([3, 4])
+    assert all(row.ok for row in rows)
+    assert [(row.name, row.scope, row.covered) for row in rows] == [
+        ("three-max-cliques", "r = 3, n = 3..5", 49),
+        ("three-covers-of-size-two", "r = 3, n = 1..5", 52),
+        ("three-max-cliques", "r = 4, n = 4..6", 201),
+        ("three-covers-of-size-two", "r = 4, n = 1..6", 208),
+    ]
 
 
 def test_neighborhood_lemmas_reject_small_r_before_enumerating(monkeypatch):
@@ -399,11 +414,11 @@ def test_neighborhood_lemmas_reject_small_r_before_enumerating(monkeypatch):
 
 
 def test_neighborhood_lemma_expected_sets_are_two_graphs():
-    report = verify_neighborhood_lemmas([4])
-    for c in report.checks:
-        if c.name == "three-max-cliques":
-            assert len(c.expected) == 2
-            assert c.found == c.expected
+    # the two constructions are distinct, so an ok row found exactly two graphs
+    for m in range(4, 9):
+        assert not is_isomorphic(_complete_minus(m, _TRIANGLE), _complete_minus(m, _PATH4))
+    [three_max, _] = verify_neighborhood_lemmas([4])
+    assert three_max.name == "three-max-cliques" and three_max.ok
 
 
 # -- probes -----------------------------------------------------------------------
