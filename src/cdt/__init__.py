@@ -80,7 +80,7 @@ from .search import (
     enumerate_all_up_to,
 )
 from .verify import verify_neighborhood_lemmas
-from .probes import probe_configuration_average, probe_conjecture
+from .probes import BeatResult, beat, probe_configuration_average
 
 # submodules are reached as `cdt.search`, `cdt.verify`, ...; only the
 # functions and classes imported above are public

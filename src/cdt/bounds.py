@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .graphs import Graph, GraphError, build_graph, join, max_degree
+from .graphs import MAX_VERTICES, Graph, GraphError, build_graph, join, max_degree
 from .canon import canonical_form
 from .cliques import clique_number
 
@@ -226,6 +226,7 @@ def g_star() -> Graph:
 # -- proven exact values --------------------------------------------------
 
 PROVENANCE_DIVISIBILITY = "divisibility"
+PROVENANCE_HANDSHAKE = "handshake"
 PROVENANCE_DELTA_EQ_OMEGA = "delta-eq-omega"
 PROVENANCE_DELTA_EQ_OMEGA_PLUS_ONE = "delta-eq-omega-plus-one"
 PROVENANCE_SPECIAL = "special-triple"
@@ -235,17 +236,32 @@ PROVENANCE_NONE = "none"
 @dataclass(frozen=True)
 class ExactValue:
     value: Fraction
-    witness: Graph
+    witness: Optional[Graph]  # None when it has more than 64 vertices
     provenance: str
+
+
+def _turan_witness(n: int, r: int) -> Optional[Graph]:
+    """T(n, r), or None when it exceeds the 64-vertex capacity."""
+    return turan_graph(n, r) if n <= MAX_VERTICES else None
+
+
+def _lower_bound_witness(dmax: int, omega: int) -> Optional[Graph]:
+    """`lower_bound_graph`, or None when it exceeds the 64-vertex capacity."""
+    n = dmax + decompose(dmax, omega).a
+    return lower_bound_graph(dmax, omega) if n <= MAX_VERTICES else None
 
 
 def exact_value(t: int, dmax: int, omega: int) -> Optional[ExactValue]:
     """Proven optimum density for the triple, or None.
 
-    Rows: divisible degree bound (2 <= t <= omega); degree equal to
-    clique bound (3 <= t <= omega); degree one above clique bound for
-    the two largest clique sizes (with their range conditions); and the
-    three individually proven triples (3,5,3), (3,5,4), (3,6,5).
+    Rows: divisible degree bound (2 <= t <= omega); edges (t = 2), where
+    the handshake lemma gives k_2 = (sum of degrees)/2 <= n*dmax/2 and
+    K_{dmax,dmax} = T(2 dmax, 2) attains dmax/2; degree equal to clique
+    bound (3 <= t <= omega); degree one above clique bound for the two
+    largest clique sizes (with their range conditions); and the three
+    individually proven triples (3,5,3), (3,5,4), (3,6,5).
+
+    The witness is None when it would exceed the 64-vertex capacity.
     """
     if t < 2:
         raise ValueError("clique size must be at least 2")
@@ -256,15 +272,18 @@ def exact_value(t: int, dmax: int, omega: int) -> Optional[ExactValue]:
     if t <= omega and dmax % (omega - 1) == 0:
         return ExactValue(
             lower_bound(t, dmax, omega),
-            lower_bound_graph(dmax, omega),
+            _lower_bound_witness(dmax, omega),
             PROVENANCE_DIVISIBILITY,
         )
+
+    if t == 2:
+        return ExactValue(Fraction(dmax, 2), _turan_witness(2 * dmax, 2), PROVENANCE_HANDSHAKE)
 
     if dmax == omega and 3 <= t <= omega:
         r = omega
         return ExactValue(
             turan_density(r + 1, r, t),
-            turan_graph(r + 1, r),
+            _turan_witness(r + 1, r),
             PROVENANCE_DELTA_EQ_OMEGA,
         )
 
@@ -273,7 +292,7 @@ def exact_value(t: int, dmax: int, omega: int) -> Optional[ExactValue]:
         if (t == r and r >= 4) or (t == r - 1 and r >= 5):
             return ExactValue(
                 turan_density(r + 2, r, t),
-                turan_graph(r + 2, r),
+                _turan_witness(r + 2, r),
                 PROVENANCE_DELTA_EQ_OMEGA_PLUS_ONE,
             )
 
@@ -306,7 +325,7 @@ class BoundReport:
     lower: Fraction
     upper: Fraction
     exact: Optional[Fraction]
-    witness: Optional[str]  # canonical graph6
+    witness: Optional[str]  # canonical graph6; None when unknown or over 64 vertices
     provenance: str
     conjecture: Optional[Fraction]
 
@@ -326,7 +345,7 @@ def bounds_report(t: int, dmax: int, omega: int) -> BoundReport:
         exact, witness, provenance = ev.value, ev.witness, ev.provenance
     elif lo == hi:
         # the sandwich pins the value even without a registry row
-        exact, witness, provenance = lo, lower_bound_graph(dmax, omega_eff), PROVENANCE_NONE
+        exact, witness, provenance = lo, _lower_bound_witness(dmax, omega_eff), PROVENANCE_NONE
     else:
         exact, witness, provenance = None, None, PROVENANCE_NONE
     return BoundReport(

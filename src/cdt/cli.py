@@ -121,7 +121,8 @@ def _cmd_bounds(args) -> int:
     print(f"  upper bound  {_fmt(rep.upper)}")
     if rep.exact is not None:
         print(f"  exact        {_fmt(rep.exact)}  [{rep.provenance}]")
-        print(f"  witness      {rep.witness}")
+        if rep.witness is not None:
+            print(f"  witness      {rep.witness}")
     else:
         print("  exact        unknown")
     if rep.conjecture is not None:
@@ -151,19 +152,25 @@ def _cmd_construct(args) -> int:
 # -- analyze ------------------------------------------------------------------
 
 def _analyze_one(g, t: int, dmax: Optional[int], omega: Optional[int]) -> dict:
+    """One clique walk: k_s = (sum of the vertices' s-weights) / s, and
+    the clique number is the largest s with a nonzero weight."""
     weights = cq.per_vertex_clique_counts(g)
+    totals = [sum(column) for column in zip(*weights)]  # totals[s] = s * k_s
+    clique_number = max((s for s, total in enumerate(totals) if total), default=0)
+    kt = totals[t] // t if t < len(totals) else 0
+    degree = max_degree(g)
     out = {
         "n": g.n,
         "edges": g.edge_count(),
-        "max_degree": max_degree(g),
-        "clique_number": cq.clique_number(g),
-        "clique_count": cq.clique_count(g, t),
-        "density": _rational(cq.density(g, t)) if g.n else None,
+        "max_degree": degree,
+        "clique_number": clique_number,
+        "clique_count": kt,
+        "density": _rational(Fraction(kt, g.n)) if g.n else None,
         "vertex_weights": [w[t] if t < len(w) else 0 for w in weights],
         "canonical": canonical_form(g),
     }
     if dmax is not None and omega is not None:
-        if cq.in_class(g, dmax, omega):
+        if degree <= dmax and clique_number <= omega:
             out["in_class"] = True
             out["perfect_vertices"] = [
                 v for v in range(g.n) if cq._is_perfect(g.adj, v, dmax, omega - 1)

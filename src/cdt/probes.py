@@ -1,56 +1,68 @@
 """Search-based probes of questions the paper leaves open: whether
-bt_graph(3) is optimal in the degree-7 triangle class, and whether the
-configuration-average estimate holds at r = 5."""
+anything beats the best known density of a (t, dmax, omega) triple, and
+whether the configuration-average estimate holds at r = 5."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .bounds import bt_density, bt_graph
+from .bounds import conjectured_value, lower_bound
 from .canon import canonical_form
 from .cliques import _per_vertex_size_counts, find_configurations
-from .graphs import Graph, bits
-from .search import best_up_to, enumerate_all_up_to
+from .graphs import Graph, bits, graph6_decode
+from .search import SearchReport, best_up_to, enumerate_all_up_to
 
 
-def probe_conjecture(
-    name: str,
-    n_cap: int,
-    thread_count: int = 1,
-    cap: Optional[int] = None,
-) -> dict:
-    """Search-based probe of an open question.
+class BeatResult(NamedTuple):
+    """Per vertex count, the canonical graph6 of the graphs that tie the
+    target and of the maximizers that beat it."""
+    target: Fraction
+    ties: dict[int, tuple[str, ...]]
+    beats: dict[int, tuple[str, ...]]
+    report: SearchReport
 
-    "bt3": does anything in the degree-7 triangle-allowed class beat
-    the triangle density (k+1)(k^2+1)/(3k+2) of bt_graph(3)?  Pruned by
-    the sound per-vertex ceiling, which keeps every graph that ties or
-    beats the target.
+
+def beat(t: int, dmax: int, omega: int, n_cap: int,
+         thread_count: int = 1, cap: Optional[int] = None) -> BeatResult:
+    """Does a graph on at most n_cap vertices, with maximum degree <= dmax
+    and clique number <= omega, beat max(lower_bound, conjectured_value)
+    in t-clique density?
+
+    One `best_up_to` call pruned at that target.  The per-vertex ceiling
+    is at least the target, so the pruning keeps every graph that
+    reaches it at any level: `ties` is complete, and `beats` lists each
+    level's maximizers.  Each witness is recounted by a subset scan; a
+    mismatch raises RuntimeError.
     """
-    if name.strip() != "bt3":
-        raise ValueError(f"unknown probe {name!r}")
-    target = bt_density(3)
-    report = best_up_to(
-        n_cap, 7, 3, 3, thread_count=thread_count, prune_target=target, cap=cap
-    )
-    beaten = [lv.n for lv in report.levels if lv.max_density > target]
-    ties = {lv.n: list(lv.witnesses) for lv in report.levels if lv.max_density == target}
-    bt3_g6 = canonical_form(bt_graph(3))
-    unique_at_11 = None
-    if n_cap >= 11 and 11 in ties:
-        unique_at_11 = ties[11] == [bt3_g6]
-    return {
-        "probe": "bt3",
-        "n_cap": n_cap,
-        "target": target,
-        "beaten_at": beaten,
-        "ties_at": ties,
-        "bt3_graph6": bt3_g6,
-        "unique_best_at_11": unique_at_11,
-        "pruned": True,
-        "note": "per-size maxima below the target are not exhaustive under pruning",
-        "wall_time": report.wall_time,
-    }
+    target = max(lower_bound(t, dmax, omega), conjectured_value(t, dmax, omega) or 0)
+    report = best_up_to(n_cap, dmax, omega, t, thread_count=thread_count, prune_target=target, cap=cap)
+    ties = {lv.n: lv.witnesses for lv in report.levels if lv.max_density == target}
+    beats = {lv.n: lv.witnesses for lv in report.levels if lv.max_density > target}
+    for n, witnesses in (ties | beats).items():
+        for g6 in witnesses:
+            _recount(g6, t, dmax, omega, report.level(n).max_clique_count)
+    return BeatResult(target, ties, beats, report)
+
+
+def _recount(g6: str, t: int, dmax: int, omega: int, kt: int) -> None:
+    """Check a witness by scanning vertex subsets, independently of the
+    search's clique walker: degree <= dmax, no (omega+1)-clique, kt t-cliques."""
+    g = graph6_decode(g6)
+
+    def cliques(k: int) -> int:
+        return sum(all(g.adj[u] >> v & 1 for u, v in combinations(s, 2))
+                   for s in combinations(range(g.n), k))
+
+    degree = max((row.bit_count() for row in g.adj), default=0)
+    too_big, count = cliques(omega + 1), cliques(t)
+    if degree > dmax or too_big or count != kt:
+        raise RuntimeError(
+            f"witness {g6} fails its recount: max degree {degree} (bound {dmax}),"
+            f" {too_big} cliques of size {omega + 1}, {count} of size {t} (search: {kt})"
+        )
 
 
 def probe_configuration_average(r: int = 5, n_cap: int = 8) -> dict:

@@ -75,7 +75,9 @@ class Sweep:
         self.graphs_seen = 0
         # lemma key -> canonical graph6 of the graphs that break it, each once
         self.bad: dict[str, list[str]] = {key: [] for key in LEMMA_CHECKS}
-        # (n, omega, t) -> [max count, list of maximizer adjacency tuples]
+        # (n, omega, t) -> [max count, maximizer adjacency tuples]; the
+        # maximizers are kept only where T(n, omega) has a t-clique
+        # (t <= min(n, omega)), the one case `_turan_maximizes` reads them
         self.zykov: dict = {}
         # (dmax, omega, t) -> {n: max count}, and one maximizer per (case, n)
         self.superadd: dict = {case: {} for case in SUPERADD_CASES}
@@ -167,11 +169,12 @@ class Sweep:
             for t in range(2, 5):
                 key = (n, wbound, t)
                 kt = counts[t] if t <= n else 0
+                wits = [adj] if t <= min(n, wbound) else []
                 cur = self.zykov.get(key)
                 if cur is None or kt > cur[0]:
-                    self.zykov[key] = [kt, [adj]]
+                    self.zykov[key] = [kt, wits]
                 elif kt == cur[0]:
-                    cur[1].append(adj)
+                    cur[1].extend(wits)
         cases = [c for c in SUPERADD_CASES if dmax_g <= c[0] and omega_g <= c[1]]
         self.covered["superadd"] += bool(cases)
         for case in cases:
@@ -186,7 +189,9 @@ class Sweep:
         zykov_bad: list[str] = []
         for (n, omega, t), (best, wits) in sorted(self.zykov.items()):
             if not _turan_maximizes(n, omega, t, best, wits):
-                zykov_bad.extend(sorted(canonical_form(Graph(n, adj)) for adj in wits))
+                # a key without stored maximizers is named by itself
+                forms = sorted(canonical_form(Graph(n, adj)) for adj in wits)
+                zykov_bad.extend(forms or [f"n={n},omega={omega},t={t}"])
 
         # a union of maximizers at x and y is in the class, so the
         # maximum at x + y is at least the sum

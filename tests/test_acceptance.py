@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from cdt import (
+    beat,
     best_up_to,
     bt_graph,
     canonical_form,
@@ -17,7 +18,6 @@ from cdt import (
     g_star,
     is_isomorphic,
     lower_bound,
-    probe_conjecture,
     rho_monotone_check,
     turan_clique_count,
     turan_density,
@@ -213,17 +213,36 @@ def test_criterion_11_monotonicity():
 
 @_crit(12, "conjecture probe: nothing in the degree-7 triangle class beats 40/11 (n <= 10)", 1800)
 def test_criterion_12_bt3_probe():
-    out = probe_conjecture("bt3", 10)
-    assert out["target"] == Fraction(40, 11)
-    assert out["beaten_at"] == []
-    print(f"  bt3 probe to n=10: ties at {sorted(out['ties_at'])}, "
-          f"wall {out['wall_time']:.1f}s")
+    res = beat(3, 7, 3, 10)
+    assert res.target == Fraction(40, 11)
+    assert res.beats == {}
+    print(f"  bt3 probe to n=10: ties at {sorted(res.ties)}, "
+          f"wall {res.report.wall_time:.1f}s")
 
 
 @_crit(12, "conjecture probe to n = 11: nothing beats 40/11, bt_graph(3) the unique tie at 11", 600)
 def test_criterion_12_bt3_probe_n11():
-    out = probe_conjecture("bt3", 11)
-    assert out["beaten_at"] == []
-    assert out["unique_best_at_11"] is True
-    print(f"  bt3 probe to n=11: ties at {sorted(out['ties_at'])}, "
-          f"wall {out['wall_time']:.1f}s")
+    res = beat(3, 7, 3, 11)
+    assert res.beats == {}
+    assert res.ties[11] == (canonical_form(bt_graph(3)),)
+    print(f"  bt3 probe to n=11: ties at {sorted(res.ties)}, "
+          f"wall {res.report.wall_time:.1f}s")
+
+
+# -- criterion 13 ---------------------------------------------------------------------
+
+@_crit(13, "search beats the Turan lower bound in four open degree-7 triples (n <= 10)", 600)
+def test_criterion_13_degree_7_beats():
+    # (t, dmax, omega, n_cap), the lower bound, and the one maximizer that beats it
+    cases = [
+        ((3, 7, 4, 10), Fraction(44, 9), "ILr~vv|~_", Fraction(5)),  # complement of 2 C_5
+        ((3, 7, 5, 9), Fraction(19, 4), "HNz~v~}", Fraction(50, 9)),  # complement of P_3 + 3 K_2
+        ((3, 7, 6, 9), Fraction(11, 2), "HNz~v~}", Fraction(50, 9)),
+        ((4, 7, 5, 9), Fraction(7, 2), "HNz~v~}", Fraction(4)),
+    ]
+    for (t, dmax, omega, n_cap), target, g6, found in cases:
+        res = beat(t, dmax, omega, n_cap)
+        assert res.target == lower_bound(t, dmax, omega) == target
+        assert res.beats == {n_cap: (g6,)}
+        assert target < res.report.level(n_cap).max_density == found <= upper_bound(t, dmax, omega)
+        print(f"  ({t},{dmax},{omega}) to n={n_cap}: {g6} has density {found} > {target}")

@@ -252,10 +252,33 @@ def test_registry_range_side_conditions():
     # the individually proven triple covers it instead, and beats the
     # balanced construction (16/7 > 2)
     assert exact_value(3, 5, 4).value == Fraction(16, 7)
-    assert exact_value(2, 3, 3) is None  # degree-equals-bound row starts at t = 3
+    assert exact_value(2, 3, 3).value == Fraction(3, 2)  # edges: the handshake row
     assert exact_value(4, 4, 3) is None  # above the clique bound, no theorem row
-    assert exact_value(2, 5, 5) is None  # t = 2 only settled by divisibility
-    assert exact_value(2, 4, 5) is not None  # divisible: 4 mod (5-1) == 0
+    assert exact_value(2, 5, 5).value == Fraction(5, 2)
+    assert exact_value(2, 4, 5).provenance == "divisibility"  # 4 mod (5-1) == 0
+
+
+def test_registry_edges_row_is_half_the_degree_bound():
+    for dmax in range(1, 9):
+        for omega in range(2, 10):
+            ev = exact_value(2, dmax, omega)
+            assert ev.value == Fraction(dmax, 2) == upper_bound(2, dmax, omega)
+            assert ev.provenance in ("divisibility", "handshake")
+    ev = exact_value(2, 3, 3)
+    assert ev.provenance == "handshake"
+    assert is_isomorphic(ev.witness, turan_graph(6, 2))  # K_{3,3}
+
+
+def test_registry_witness_is_none_beyond_64_vertices():
+    ev = exact_value(3, 100, 3)  # T(150, 3): three parts of 50
+    assert (ev.value, ev.witness, ev.provenance) == (Fraction(2500, 3), None, "divisibility")
+    assert exact_value(2, 41, 3).witness is None  # K_{41,41}
+    assert exact_value(3, 70, 70).witness is None  # T(71, 70)
+    rep = bounds_report(3, 100, 3)
+    assert (rep.exact, rep.witness) == (Fraction(2500, 3), None)
+    rep = bounds_report(5, 100, 4)  # no registry row; the sandwich pins 0 with T(133, 4)
+    assert (rep.exact, rep.witness, rep.provenance) == (0, None, "none")
+    assert bounds_report(3, 32, 3).witness is not None  # T(48, 3) fits
 
 
 def test_registry_witness_density_matches_value():

@@ -12,8 +12,19 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 import cdt
-from cdt import canonical_form, bt_graph, g_star, turan_graph
-from cdt.cli import main
+from cdt import (
+    bt_graph,
+    canonical_form,
+    clique_count,
+    clique_number,
+    density,
+    enumerate_all_up_to,
+    g_star,
+    graph6_decode,
+    in_class,
+    turan_graph,
+)
+from cdt.cli import _rational, main
 
 from helpers import inline_pool_context
 
@@ -84,6 +95,23 @@ def test_bounds_table_csv(capsys):
     assert lines[0] == "delta,omega,lower,upper,exact,provenance"
     assert len(lines) == 1 + 4 * 2
     assert any(line.startswith("6,4,4,4,4,divisibility") for line in lines)
+
+
+def test_bounds_beyond_64_vertices_prints_the_value(capsys):
+    # the divisibility witness T(150, 3) does not fit in 64 vertices
+    code, out, _ = run(capsys, ["bounds", "-t", "3", "-d", "100", "-w", "3"])
+    assert code == 0
+    assert "exact        2500/3 (~833.333)  [divisibility]" in out
+    assert "witness" not in out
+    code, out, _ = run(capsys, ["bounds", "-t", "3", "--table", "--delta-range", "100", "--omega-range", "3"])
+    assert code == 0
+    assert out.splitlines()[1] == "100,3,2500/3,2500/3,2500/3,divisibility"
+
+
+def test_bounds_edges_exact(capsys):
+    code, out, _ = run(capsys, ["bounds", "-t", "2", "-d", "3", "-w", "3"])
+    assert code == 0
+    assert "exact        3/2 (~1.5)  [handshake]" in out
 
 
 def test_bounds_missing_flags_exit_2(capsys):
@@ -173,6 +201,25 @@ def test_analyze_json_per_vertex_weights(capsys, monkeypatch):
     assert rec["clique_count"] == 32
     assert rec["in_class"] is True
     assert rec["perfect_vertices"] == []
+
+
+def test_analyze_json_matches_the_separate_counters(capsys, monkeypatch):
+    # k_t, the clique number and class membership come from one walk;
+    # the library's own counters are the reference
+    graphs = [graph6_decode("?")]
+    enumerate_all_up_to(5, 5, 6, graphs.append)
+    graphs += [bt_graph(3), g_star()]
+    for t in range(1, 6):
+        code, out, _ = run(
+            capsys, ["analyze", "-t", str(t), "-d", "4", "-w", "3", "--json"],
+            stdin="".join(canonical_form(g) + "\n" for g in graphs), monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        for g, rec in zip(graphs, json.loads(out)["outputs"]["graphs"], strict=True):
+            assert rec["clique_number"] == clique_number(g)
+            assert rec["clique_count"] == clique_count(g, t)
+            assert rec["density"] == (_rational(density(g, t)) if g.n else None)
+            assert rec["in_class"] == in_class(g, 4, 3)
 
 
 # -- search ------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from cdt import (
     CapExceeded,
+    beat,
     best_up_to,
     bt_density,
     canonical_form,
@@ -21,14 +22,13 @@ from cdt import (
     lower_bound,
     max_degree,
     probe_configuration_average,
-    probe_conjecture,
     turan_clique_count,
     turan_graph,
     verify_neighborhood_lemmas,
 )
 
 from cdt.canon import canon_raw, refine_colors, _orbit_find, _orbit_partition
-from cdt.search import _accept
+from cdt.search import _accept, _count_of_size
 from cdt.verify import Sweep, _PATH4, _TRIANGLE, _complete_minus
 from helpers import brute_classes, inline_pool_context, level_graphs
 
@@ -394,6 +394,20 @@ def test_sweep_lists_each_failing_graph_once():
     assert len(ceiling.failures) == len(set(ceiling.failures)) <= ceiling.covered
 
 
+def test_sweep_keeps_zykov_maximizers_only_where_turan_has_the_clique():
+    sweep = Sweep(6).run()
+    for (n, omega, t), (best, wits) in sweep.zykov.items():
+        assert best == turan_clique_count(n, omega, t), (n, omega, t)
+        assert (wits == []) == (t > min(n, omega)), (n, omega, t)
+    rows = sweep.checks()
+    assert [(row.scope, row.failures, row.covered) for row in rows.values()] == [
+        ("n <= 6", [], covered) for covered in (208, 208, 208, 198, 0, 208, 201, 207)
+    ]
+    # a wrong maximum where T(n, omega) has no t-clique fails by its key
+    sweep.zykov[3, 2, 3][0] = 1
+    assert sweep.checks()["zykov"].failures == ["n=3,omega=2,t=3"]
+
+
 # -- neighborhood classifications ----------------------------------------------
 
 def test_neighborhood_lemmas_small_r():
@@ -424,15 +438,30 @@ def test_neighborhood_lemma_expected_sets_are_two_graphs():
 # -- probes -----------------------------------------------------------------------
 
 def test_probe_bt3_small_cap():
-    out = probe_conjecture("bt3", 8)
-    assert out["target"] == bt_density(3) == Fraction(40, 11)
-    assert out["beaten_at"] == []
-    assert out["pruned"] is True
+    res = beat(3, 7, 3, 8)
+    assert res.target == bt_density(3) == Fraction(40, 11)
+    assert res.ties == res.beats == {}
+    assert res.report.pruned is True
 
 
-def test_probe_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        probe_conjecture("nonsense", 5)
+@pytest.mark.parametrize("omega, ties, beats", [
+    (3, {7: ("FFz~o",)}, {8: ("GLr~vo",)}),
+    (4, {6: ("E]~w",), 8: ("G@\\rzw", "GBXz~o", "GK~vno", "GLvnno")}, {7: ("FNz~o",)}),
+], ids=["3-5-3", "3-5-4"])
+def test_beat_equals_unpruned_levels_reaching_the_target(omega, ties, beats):
+    # the pruned search keeps every graph at or above the target, so its
+    # ties and beats are exactly the unpruned levels that reach it
+    res = beat(3, 5, omega, 8)
+    full = best_up_to(8, 5, omega, 3)
+    assert res.target == lower_bound(3, 5, omega)
+    assert res.ties == {lv.n: lv.witnesses for lv in full.levels if lv.max_density == res.target} == ties
+    assert res.beats == {lv.n: lv.witnesses for lv in full.levels if lv.max_density > res.target} == beats
+
+
+def test_beat_rejects_a_miscounted_witness(monkeypatch):
+    monkeypatch.setattr("cdt.search._count_of_size", lambda adj, cand, t: _count_of_size(adj, cand, t) + 1)
+    with pytest.raises(RuntimeError, match="fails its recount"):
+        beat(3, 5, 3, 7)
 
 
 def test_probe_configuration_average_resolves_r5():
