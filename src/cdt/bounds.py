@@ -15,8 +15,6 @@ from math import comb
 from typing import Optional
 
 from .graphs import MAX_VERTICES, Graph, GraphError, build_graph, join, max_degree
-from .canon import canonical_form
-from .cliques import clique_number
 
 
 def _comb(n: int, k: int) -> int:
@@ -121,11 +119,13 @@ def lower_bound_graph(dmax: int, omega: int) -> Graph:
     omega = effective_omega(dmax, omega)
     if omega < 2:
         raise ValueError("clique bound must be at least 2")
-    dec = decompose(dmax, omega)
-    n = dmax + dec.a
+    n = dmax + decompose(dmax, omega).a
     g = turan_graph(n, omega)
     assert max_degree(g) == dmax
-    assert clique_number(g) == omega
+    # omega distinct sets {v} + non-neighbours of v, of total size n, partition
+    # g into omega independent parts joined completely: its clique number is omega
+    parts = {((1 << n) - 1) & ~row for row in g.adj}
+    assert len(parts) == omega and sum(p.bit_count() for p in parts) == n
     return g
 
 
@@ -325,7 +325,7 @@ class BoundReport:
     lower: Fraction
     upper: Fraction
     exact: Optional[Fraction]
-    witness: Optional[str]  # canonical graph6; None when unknown or over 64 vertices
+    witness: Optional[Graph]  # None when unknown or over 64 vertices
     provenance: str
     conjecture: Optional[Fraction]
 
@@ -356,7 +356,7 @@ def bounds_report(t: int, dmax: int, omega: int) -> BoundReport:
         lower=lo,
         upper=hi,
         exact=exact,
-        witness=canonical_form(witness) if witness is not None else None,
+        witness=witness,
         provenance=provenance,
         conjecture=conjectured_value(t, dmax, omega_eff),
     )

@@ -109,7 +109,7 @@ def _cmd_bounds(args) -> int:
             "bounds",
             {"t": rep.t, "dmax": rep.dmax, "omega": rep.omega},
             outputs,
-            [rep.witness] if rep.witness else [],
+            [canonical_form(rep.witness)] if rep.witness is not None else [],
             rep.provenance,
             t0,
         )
@@ -122,7 +122,7 @@ def _cmd_bounds(args) -> int:
     if rep.exact is not None:
         print(f"  exact        {_fmt(rep.exact)}  [{rep.provenance}]")
         if rep.witness is not None:
-            print(f"  witness      {rep.witness}")
+            print(f"  witness      {canonical_form(rep.witness)}")
     else:
         print("  exact        unknown")
     if rep.conjecture is not None:
@@ -132,20 +132,19 @@ def _cmd_bounds(args) -> int:
 
 # -- construct ----------------------------------------------------------------
 
+_CONSTRUCTIONS = {  # kind: (builder, number of integer parameters)
+    "turan": (bd.turan_graph, 2),
+    "lbg": (bd.lower_bound_graph, 2),
+    "bt": (bd.bt_graph, 1),
+    "gstar": (bd.g_star, 0),
+}
+
+
 def _cmd_construct(args) -> int:
-    try:
-        if args.kind == "turan":
-            g = bd.turan_graph(args.params[0], args.params[1])
-        elif args.kind == "lbg":
-            g = bd.lower_bound_graph(args.params[0], args.params[1])
-        elif args.kind == "bt":
-            g = bd.bt_graph(args.params[0])
-        else:  # gstar
-            g = bd.g_star()
-    except IndexError:
-        print(f"error: construct {args.kind} needs more parameters", file=sys.stderr)
-        return EXIT_USAGE
-    print(canonical_form(g))
+    build, count = _CONSTRUCTIONS[args.kind]
+    if len(args.params) != count:
+        raise ValueError(f"construct {args.kind}: expected {count} parameter(s), got {len(args.params)}")
+    print(canonical_form(build(*args.params)))
     return EXIT_OK
 
 
@@ -330,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("construct", help="emit a named construction as graph6")
-    p.add_argument("kind", choices=["turan", "lbg", "bt", "gstar"])
+    p.add_argument("kind", choices=list(_CONSTRUCTIONS))
     p.add_argument("params", type=int, nargs="*")
     p.set_defaults(func=_cmd_construct)
 

@@ -80,3 +80,17 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{name}" for name in imported if name not in used]
     assert unused == []
+
+
+def test_bounds_imports_only_the_graph_kernel():
+    # the closed forms need neither canonical labelling nor clique search
+    tree = ast.parse((ROOT / "src" / "cdt" / "bounds.py").read_text())
+    package_modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+            package_modules |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cdt":
+            package_modules.add(node.module)
+        elif isinstance(node, ast.Import):
+            package_modules |= {a.name for a in node.names if a.name.split(".")[0] == "cdt"}
+    assert package_modules == {"graphs"}

@@ -19,7 +19,6 @@ from cdt import (
     density,
     exact_value,
     g_star,
-    graph6_decode,
     is_isomorphic,
     lower_bound,
     lower_bound_graph,
@@ -279,6 +278,7 @@ def test_registry_witness_is_none_beyond_64_vertices():
     rep = bounds_report(5, 100, 4)  # no registry row; the sandwich pins 0 with T(133, 4)
     assert (rep.exact, rep.witness, rep.provenance) == (0, None, "none")
     assert bounds_report(3, 32, 3).witness is not None  # T(48, 3) fits
+    assert exact_value(3, 62, 32).witness == turan_graph(64, 32)  # fits exactly
 
 
 def test_registry_witness_density_matches_value():
@@ -306,7 +306,7 @@ def test_report_5_3():
     rep = bounds_report(3, 5, 3)
     assert (rep.lower, rep.upper, rep.exact) == (Fraction(12, 7), 2, Fraction(15, 8))
     assert rep.provenance == "special-triple"
-    assert is_isomorphic(graph6_decode(rep.witness), bt_graph(2))
+    assert is_isomorphic(rep.witness, bt_graph(2))
 
 
 def test_report_divisible():
@@ -338,7 +338,7 @@ def test_report_clamps_inactive_clique_bound():
 def test_report_trivial_zero_above_clique_bound():
     rep = bounds_report(5, 6, 4)
     assert rep.lower == rep.upper == rep.exact == 0
-    assert graph6_decode(rep.witness) is not None
+    assert rep.witness is not None
 
 
 def test_report_invariants_sweep():
@@ -349,7 +349,7 @@ def test_report_invariants_sweep():
                 assert rep.lower <= rep.upper
                 if rep.exact is not None:
                     assert rep.lower <= rep.exact <= rep.upper
-                    w = graph6_decode(rep.witness)
+                    w = rep.witness
                     assert density(w, t) == rep.exact
                     assert max_degree(w) <= dmax
                     assert clique_number(w) <= omega

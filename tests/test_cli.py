@@ -106,6 +106,14 @@ def test_bounds_beyond_64_vertices_prints_the_value(capsys):
     code, out, _ = run(capsys, ["bounds", "-t", "3", "--table", "--delta-range", "100", "--omega-range", "3"])
     assert code == 0
     assert out.splitlines()[1] == "100,3,2500/3,2500/3,2500/3,divisibility"
+    # the divisibility witness T(64, 32) just fits
+    code, out, _ = run(capsys, ["bounds", "-t", "3", "-d", "62", "-w", "32"])
+    assert code == 0
+    assert "exact        620  [divisibility]" in out
+    assert f"  witness      {canonical_form(turan_graph(64, 32))}" in out.splitlines()
+    code, out, _ = run(capsys, ["bounds", "-t", "3", "--table", "--delta-range", "62", "--omega-range", "32"])
+    assert code == 0
+    assert out.splitlines()[1] == "62,32,620,620,620,divisibility"
 
 
 def test_bounds_edges_exact(capsys):
@@ -146,13 +154,17 @@ def test_construct_lbg(capsys):
     code, out, _ = run(capsys, ["construct", "lbg", "5", "3"])
     assert code == 0
     assert out.strip() == canonical_form(turan_graph(7, 3))
+    code, out, _ = run(capsys, ["construct", "lbg", "62", "32"])  # T(64, 32)
+    assert code == 0
+    assert out.strip() == canonical_form(turan_graph(64, 32))
 
 
 def test_construct_invalid_params_exit_2(capsys):
-    code, _, err = run(capsys, ["construct", "bt", "1"])
-    assert code == 2 and "error" in err
-    code, _, err = run(capsys, ["construct", "turan", "5"])
-    assert code == 2
+    # a bad value, then too few and too many parameters
+    for params in (["bt", "1"], ["turan", "5"], ["turan", "8", "4", "9"], ["gstar", "5"], ["bt", "2", "7"]):
+        code, out, err = run(capsys, ["construct"] + params)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 # -- analyze --------------------------------------------------------------

@@ -282,6 +282,9 @@ def test_best_up_to_tiny_class():
     report = best_up_to(3, 2, 3, 3)
     assert report.best_density == Fraction(1, 3)  # the triangle
     assert report.best_n == 3
+    report = best_up_to(3, 62, 32, 3)  # the proven optimum's witness is T(64, 32)
+    assert report.best_density == Fraction(1, 3)
+    assert report.exact_known == 620
 
 
 def test_best_up_to_small_sizes_capped_by_lower_bound():
