@@ -31,12 +31,21 @@ found, but every automorphism a skipped leaf would have given lies in
 the group generated by g and the automorphisms the explored subtree
 gave, so they generate the same group.
 
-Refinement re-keys every vertex by its old color and its neighbor
-count in each cell.  The key is packed into one int, in base n+1 with
-the old color as the leading digit: every entry is at most n and all
-keys of a round have the same length, so numeric order is the
-lexicographic order of the (color, counts...) tuples, and sorting ints
-replaces sorting tuples.
+Refinement keys a vertex by its old color and its neighbor counts in
+the fresh cells only: those the previous round created, less the last
+fragment of each cell it split.  Every vertex of a current cell had
+the same key last round, so it has the same count in every older cell;
+the last fragment's count is the old cell's count minus the other
+fragments' counts, which come earlier in the key.  So the counts left
+out are constant within a cell or decided by earlier digits, and the
+new ranks are exactly those of keying on every cell.  The key is
+packed into one int, in base n+1 with the old color as the leading
+digit: every entry is at most n and all keys of a round have the same
+length, so numeric order is the lexicographic order of the
+(color, counts...) tuples, and sorting ints replaces sorting tuples.
+Individualizing a vertex of an equitable coloring splits only its own
+cell, so a child of the labeling tree starts with one fresh cell, the
+vertex itself.
 
 Everything here works on raw (n, adjacency-row tuple) pairs so the
 enumeration engine can stay allocation-light; thin wrappers accept
@@ -51,14 +60,21 @@ from .graphs import Graph, graph6_encode
 
 
 def refine_colors(
-    n: int, adj: Sequence[int], colors: Optional[list[int]] = None, watch: int = -1
+    n: int,
+    adj: Sequence[int],
+    colors: Optional[list[int]] = None,
+    watch: int = -1,
+    *,
+    split: int = -1,
 ) -> list[int]:
     """Coarsest equitable coloring refining ``colors`` (default: unit).
 
     Color ids are ranks 0..k-1 assigned in an isomorphism-invariant
     order: vertices are re-keyed each round by (old color, neighbor
     count per color class) and the sorted distinct keys become the new
-    ids.  The synchronous update keeps the cell order canonical.
+    ids.  The synchronous update keeps the cell order canonical.  Only
+    the counts in the cells the previous round made are computed; the
+    module docstring shows why the others cannot change the ranks.
 
     From the unit coloring the first round ranks vertices by degree,
     ascending, and every later round keeps the old color as the
@@ -73,28 +89,62 @@ def refine_colors(
     vertex's membership of it, and whether it is alone there, are then
     already decided.  The coloring returned is not equitable in that
     case; when neither happens it is the full refinement.
+
+    With ``split`` set to a vertex, ``colors`` must be equitable and in
+    ranks, and the result is the refinement of that coloring with
+    ``split`` individualized: put first in its cell, as `canon_raw`
+    does for a child of the labeling tree.
     """
     if n == 0:
         return []
-    if colors is None:
-        # round one from the unit coloring: ranked degrees
-        colors = [a.bit_count() for a in adj]
-    ids = sorted(set(colors))
-    k = len(ids)
-    if ids[0] == 0 and ids[-1] == k - 1:
-        colors = list(colors)  # already ranks; never alias the input
+    if split >= 0:
+        # keys (old color, not split itself, adjacent to split) in base
+        # 2: split's own cell is the one fresh cell, and the keys' leading
+        # digits 2c and 2c+1 tell split from the rest of its cell c
+        sigs = [4 * c + 2 + (a >> split & 1) for c, a in zip(colors, adj)]
+        sigs[split] = 4 * colors[split]
+        order = sorted(set(sigs))
+        shift = 2
     else:
-        rank = {c: i for i, c in enumerate(ids)}
-        colors = [rank[c] for c in colors]
+        unit = colors is None
+        if unit:
+            # round one from the unit coloring: ranked degrees
+            colors = [a.bit_count() for a in adj]
+        ids = sorted(set(colors))
+        k = len(ids)
+        if ids[0] == 0 and ids[-1] == k - 1:
+            colors = list(colors)  # already ranks; never alias the input
+        else:
+            rank = {c: i for i, c in enumerate(ids)}
+            colors = [rank[c] for c in colors]
+        # the degree round split the one unit cell: its last fragment
+        # (maximum degree) is the only cell not fresh
+        fresh = range(k - 1) if unit else range(k)
+        order = None
     base = n + 1
-    while k < n:
+    while True:
+        if order is not None:
+            # rank the last round's keys; a new cell is fresh unless it
+            # is the last one with its old color, the leading digit
+            k = len(order)
+            rank = {}
+            fresh = []
+            prev = -1
+            for i, s in enumerate(order):
+                rank[s] = i
+                old = s // shift
+                if old == prev:
+                    fresh.append(i - 1)
+                prev = old
+            colors = [rank[s] for s in sigs]
+        if not fresh or k == n:
+            break
+        if watch >= 0 and (colors[watch] != k - 1 or colors.count(k - 1) == 1):
+            break
         masks = [0] * k
         for v in range(n):
             masks[colors[v]] |= 1 << v
-        if watch >= 0:
-            last = masks[-1]
-            if not last >> watch & 1 or last == 1 << watch:
-                break
+        masks = [masks[i] for i in fresh]
         sigs = []
         for v in range(n):
             a = adj[v]
@@ -105,9 +155,7 @@ def refine_colors(
         order = sorted(set(sigs))
         if len(order) == k:
             break  # stable: no cell split
-        rank = {s: i for i, s in enumerate(order)}
-        colors = [rank[s] for s in sigs]
-        k = len(order)
+        shift = base ** len(masks)
     return colors
 
 
@@ -126,15 +174,20 @@ def _orbit_find(parent: list[int], v: int) -> int:
     return v
 
 
+def _orbit_merge(parent: list[int], g: tuple[int, ...]) -> None:
+    """Join each vertex's orbit with its image's under ``g``."""
+    for v in range(len(parent)):
+        a, b = _orbit_find(parent, v), _orbit_find(parent, g[v])
+        if a != b:
+            parent[b] = a
+
+
 def _orbit_partition(n: int, gens: list[tuple[int, ...]]) -> list[int]:
     """The root of each vertex's orbit under the group generated by
     ``gens``: equal entries mean the same orbit."""
     parent = list(range(n))
     for g in gens:
-        for v in range(n):
-            a, b = _orbit_find(parent, v), _orbit_find(parent, g[v])
-            if a != b:
-                parent[b] = a
+        _orbit_merge(parent, g)
     # path halving leaves some entries pointing below their root
     return [_orbit_find(parent, v) for v in range(n)]
 
@@ -220,24 +273,25 @@ def canon_raw(
         cell = [v for v in range(n) if colors[v] == target]
         branched: list[int] = []
         # ``base`` is restored after each child and ``gens`` only grows,
-        # so the stabilizer's orbits change only when a generator is new
-        ngens = -1
+        # so the stabilizer's orbits only coarsen: merge in the new
+        # generators that fix ``base``
+        seen = 0
         parent: Optional[list[int]] = None
         for v in cell:
             if branched:
-                if len(gens) != ngens:
-                    ngens = len(gens)
-                    stab = [g for g in gens if all(g[b] == b for b in base)]
-                    parent = _orbit_partition(n, stab) if stab else None
+                for g in gens[seen:]:
+                    if all(g[b] == b for b in base):
+                        if parent is None:
+                            parent = list(range(n))
+                        _orbit_merge(parent, g)
+                seen = len(gens)
                 if parent is not None:
                     rv = _orbit_find(parent, v)
                     if any(_orbit_find(parent, u) == rv for u in branched):
                         continue
             branched.append(v)
-            child = [2 * c for c in colors]
-            child[v] -= 1
             base.append(v)
-            resume = rec(refine_colors(n, adj, child), base)
+            resume = rec(refine_colors(n, adj, colors, split=v), base)
             base.pop()
             if resume < depth:
                 return resume

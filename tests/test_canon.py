@@ -8,6 +8,7 @@ verbatim, and the labelling search against `_reference_canon`, the
 search without backjumps, also kept verbatim.
 """
 
+import hashlib
 import random
 from itertools import permutations
 from typing import Optional, Sequence
@@ -250,6 +251,23 @@ def test_refine_colors_matches_reference():
         assert want == before
 
 
+def test_individualized_refinement_matches_reference():
+    # canon_raw's children: the equitable coloring with one vertex of a
+    # non-singleton cell split off, as the even/odd coloring it once built
+    rng = random.Random(29)
+    special = [turan_graph(12, 6), turan_graph(16, 4), bt_graph(3)] + list(_circulants())
+    graphs = _every_graph_up_to_7() + [relabel(g, random_permutation(g.n, rng)) for g in special]
+    for g in graphs:
+        colors = refine_colors(g.n, g.adj)
+        before = list(colors)
+        for v in range(g.n):
+            if colors.count(colors[v]) > 1:
+                child = [2 * c for c in colors]
+                child[v] -= 1
+                assert refine_colors(g.n, g.adj, colors, split=v) == _reference_refine(g.n, g.adj, child)
+        assert colors == before
+
+
 def test_last_cell_holds_only_maximum_degree_vertices():
     # search._expand offers _accept only maximum-degree new vertices on
     # this invariant
@@ -419,3 +437,30 @@ def test_canon_raw_matches_reference():
             assert orbits[lab[n - 1]] == orbits[ref_lab[n - 1]]
             if n <= 7:
                 assert _closure(n, gens) == _closure(n, ref_gens)
+
+
+def _digest_corpus():
+    """Every class on <= 7 vertices, the Turan, blow-up and circulant
+    constructions, and each of them once relabeled by a seeded
+    permutation."""
+    graphs = []
+    enumerate_all_up_to(7, 7, 8, graphs.append)
+    graphs += [turan_graph(12, 6), turan_graph(16, 4), turan_graph(36, 18), turan_graph(64, 32),
+               bt_graph(2), bt_graph(3), g_star(), complement(cycle_graph(32))]
+    graphs += _circulants()
+    rng = random.Random(41)
+    return [h for g in graphs for h in (g, relabel(g, random_permutation(g.n, rng)))]
+
+
+# recorded before refinement counted only the cells the last round made:
+# pins the graph6 strings users see independently of `_reference_canon`,
+# which calls the production `refine_colors`
+GOLDEN_FORMS = "0b8701e96f9f114325fb858a204c672974c16458f3bbc67e87701731dde351d0"
+
+
+def test_canonical_forms_match_golden_digest():
+    corpus = _digest_corpus()
+    forms = [canonical_form(g) for g in corpus]
+    assert forms[::2] == forms[1::2]  # relabeling never changes the form
+    h = hashlib.sha256("\n".join(forms).encode())
+    assert (len(forms), h.hexdigest()) == (2 * (1252 + 8 + 96), GOLDEN_FORMS)

@@ -39,6 +39,7 @@ from cdt import (
     vertex_weight,
 )
 from cdt.bounds import bt_graph, g_star
+from cdt.cliques import _max_clique
 from cdt.graphs import GraphError
 
 from helpers import brute_clique_count, random_graph, random_permutation
@@ -86,6 +87,42 @@ def test_clique_number_values():
     for k in (2, 3):
         assert clique_number(bt_graph(k)) == 3
     assert clique_number(g_star()) == 4
+
+
+def _reference_max_clique(adj, full):
+    """The size-bound-only walk that `_max_clique` must agree with."""
+    best = 0
+
+    def walk(cand, size):
+        nonlocal best
+        if size > best:
+            best = size
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            low = cand & -cand
+            cand ^= low
+            walk(cand & adj[low.bit_length() - 1], size + 1)
+
+    walk(full, 0)
+    return best
+
+
+def test_clique_number_of_turan_graphs_with_parts_of_two():
+    # 2^k maximum cliques: the coloring bound must not walk them all
+    for k in range(1, 25):
+        assert clique_number(turan_graph(2 * k, k)) == k
+
+
+def test_max_clique_matches_size_bound_walk():
+    rng = random.Random(43)
+    graphs = []
+    enumerate_all_up_to(7, 7, 8, graphs.append)
+    graphs += [random_graph(rng.randint(8, 14), rng.random(), rng) for _ in range(300)]
+    for g in graphs:
+        full = g.vertex_mask()
+        for mask in (full, rng.getrandbits(g.n) & full):
+            assert _max_clique(g.adj, mask) == _reference_max_clique(g.adj, mask)
 
 
 def test_vertex_weights():
