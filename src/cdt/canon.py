@@ -192,6 +192,21 @@ def _orbit_partition(n: int, gens: list[tuple[int, ...]]) -> list[int]:
     return [_orbit_find(parent, v) for v in range(n)]
 
 
+def _leaf_form(n: int, adj: Sequence[int], colors: list[int]) -> tuple[int, ...]:
+    """The adjacency rows relabeled by a discrete coloring: vertex v
+    goes to position colors[v]."""
+    rows = [0] * n
+    for v in range(n):
+        a = adj[v]
+        row = 0
+        while a:
+            low = a & -a
+            a ^= low
+            row |= 1 << colors[low.bit_length() - 1]
+        rows[colors[v]] = row
+    return tuple(rows)
+
+
 def canon_raw(
     n: int, adj: Sequence[int], colors: Optional[list[int]] = None
 ) -> tuple[list[int], tuple[int, ...], list[tuple[int, ...]]]:
@@ -235,16 +250,7 @@ def canon_raw(
         lab = [0] * n
         for v in range(n):
             lab[colors[v]] = v
-        form_rows = []
-        for i in range(n):
-            a = adj[lab[i]]
-            row = 0
-            while a:
-                low = a & -a
-                a ^= low
-                row |= 1 << colors[low.bit_length() - 1]
-            form_rows.append(row)
-        form = tuple(form_rows)
+        form = _leaf_form(n, adj, colors)
         if first_form is None:
             first_form = best_form = form
             first_lab = best_lab = lab

@@ -27,7 +27,9 @@ from multiprocessing import get_context
 from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Graph
-from .canon import canon_raw, canonical_form, refine_colors, _orbit_partition, _orbit_find
+from .canon import (
+    canon_raw, canonical_form, refine_colors, _leaf_form, _orbit_find, _orbit_partition,
+)
 from .cliques import _count_of_size, _has_clique
 from .bounds import exact_value, lower_bound, turan_clique_count
 
@@ -83,35 +85,100 @@ def _subset_reps(n: int, gens: list[tuple[int, ...]], masks: list[int]) -> Itera
         yield m
 
 
-def _accept(n: int, adj: Sequence[int]) -> bool | tuple[Optional[list]]:
-    """Canonical parent check: is the new vertex (index n-1) equivalent
-    to the canonical deletion vertex?
+def _accept(n: int, adj: Sequence[int], leaf: bool = False) -> bool | tuple[Optional[list]]:
+    """Canonical parent check: is the new vertex w (index n-1)
+    equivalent to the canonical deletion vertex?
 
     Returns False when it is not.  Otherwise returns a 1-tuple: the
     generators of the child's automorphism group when the check
     computed them, else None.
 
     The deletion vertex is the one the canonical labeling puts last; it
-    always lies in the last cell of the equitable refinement, which
-    holds only maximum-degree vertices.  `_expand` offers only children
-    whose new vertex has maximum degree.  Refinement watches the new
-    vertex and stops as soon as it has left the last cell (reject) or
-    is alone in it (accept).  Only when neither happens is a full
-    canonical labeling computed; the coloring is then the full
-    refinement, which `canon_raw` takes as its root unrefined.
+    always lies in the last cell of the equitable refinement from the
+    unit coloring.  `_expand` offers only children in which w has the
+    maximum degree and shares it with another vertex.  The stages
+    below run cheapest first, and each decides exactly as the full
+    refinement followed by `canon_raw` would.
 
-    Those generators are exactly ``canon_raw(n, adj)[2]``, in the same
-    order: from the unit coloring, `canon_raw` first refines to the
-    same equitable coloring, so it walks the same tree.  `_expand` of
-    the child reuses them instead of labeling the child again.
+    1. Top cell.  The refinement's second round keys each vertex of
+       maximum degree by its neighbor counts in the lower degree
+       classes, in ascending degree order (the old color is the
+       leading digit and those classes are the fresh cells), and the
+       largest key becomes the last cell.  Later rounds only split
+       cells and keep their order.  So when another maximum-degree
+       vertex has a larger vector than w, w is not in the last cell
+       (reject), and when w's vector is strictly the largest, w is
+       alone in it (accept).  A tie goes on.
+    2. Watched refinement.  It stops as soon as w has left the last
+       cell (reject) or is alone in it (accept).  When neither happens,
+       the coloring is the full refinement.
+    3. Leaf certificate, only when ``leaf`` is set: the child is on the
+       last level and is never expanded, so its group is not needed.
+       From the full refinement, individualize each vertex of the last
+       cell in turn and descend to a leaf, always individualizing the
+       first vertex of the first non-singleton cell.  The root coloring
+       is invariant under the automorphisms and so is the choice of
+       cell, and a leaf's labeling determines its path (an
+       individualized vertex takes the first position of its cell).
+       So when the leaves below w and below x have the same form, the
+       permutation between them is an automorphism mapping w to x.  If
+       every leaf has the same form, the last cell is one orbit and
+       holds the deletion vertex: accept.  At the first other form, go
+       on.
+    4. `canon_raw`, with the full refinement as its root unrefined.
+
+    The generators of stage 4 are exactly ``canon_raw(n, adj)[2]``, in
+    the same order: from the unit coloring, `canon_raw` first refines
+    to the same equitable coloring, so it walks the same tree.
+    `_expand` of the child reuses them instead of labeling the child
+    again.
     """
     w = n - 1
+    by_degree: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    rivals = cells.pop() & ~(1 << w)
+    base = n + 1
+    key_w = 0
+    for m in cells:
+        key_w = key_w * base + (adj[w] & m).bit_count()
+    tie = False
+    while rivals:
+        low = rivals & -rivals
+        rivals ^= low
+        a = adj[low.bit_length() - 1]
+        key = 0
+        for m in cells:
+            key = key * base + (a & m).bit_count()
+        if key > key_w:
+            return False
+        tie = tie or key == key_w
+    if not tie:
+        return (None,)
     colors = refine_colors(n, adj, watch=w)
     last = max(colors)
     if colors[w] != last:
         return False
-    if colors.count(last) == 1:
+    cell = [v for v in range(n) if colors[v] == last]
+    if len(cell) == 1:
         return (None,)
+    if leaf:
+        forms = set()
+        for v in cell:
+            leaf_colors = refine_colors(n, adj, colors, split=v)
+            while (k := max(leaf_colors) + 1) < n:
+                counts = [0] * k
+                for c in leaf_colors:
+                    counts[c] += 1
+                target = next(c for c in range(k) if counts[c] > 1)
+                leaf_colors = refine_colors(n, adj, leaf_colors, split=leaf_colors.index(target))
+            forms.add(_leaf_form(n, adj, leaf_colors))
+            if len(forms) > 1:
+                break
+        else:
+            return (None,)
     lab, _, gens = canon_raw(n, adj, colors)
     z = lab[n - 1]
     if z != w:
@@ -124,12 +191,18 @@ def _accept(n: int, adj: Sequence[int]) -> bool | tuple[Optional[list]]:
 
 
 def _expand(
-    n_p: int, adj_p: Sequence[int], dmax: int, omega: int, gens: Optional[list] = None
+    n_p: int,
+    adj_p: Sequence[int],
+    dmax: int,
+    omega: int,
+    gens: Optional[list] = None,
+    leaf: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], Optional[list]]]:
     """Accepted children of a parent, each with its group generators
-    from `_accept` (None when refinement alone decided): one new vertex
+    from `_accept` (None when no stage computed them): one new vertex
     joined to an orbit-representative subset that keeps the class
-    constraints.
+    constraints.  ``leaf`` tells `_accept` that the children are on
+    the last level.
 
     ``gens`` generates the parent's automorphism group when its own
     `_accept` computed them; they equal ``canon_raw(n_p, adj_p)[2]``
@@ -145,6 +218,13 @@ def _expand(
     automorphisms, so reducing only the passing subsets, taken in
     increasing order, yields the same representatives in the same
     order as reducing all subsets and filtering after.
+
+    The new vertex is the unique maximum-degree vertex of the child
+    exactly when |S| >= D + 2, or |S| = D + 1 and S avoids M: every
+    other vertex ends with degree at most D + 1, and only a vertex of
+    M reaches D + 1.  It is then alone in the last cell of the
+    refinement's degree round, so such a child is accepted here,
+    without `_accept` and without a group.
     """
     if gens is None:
         gens = canon_raw(n_p, adj_p)[2]
@@ -168,12 +248,16 @@ def _expand(
         mask = (mask - free) & free
     bit = 1 << n_p
     for mask in _subset_reps(n_p, gens, masks):
-        if mask.bit_count() >= omega and _has_clique(adj_p, mask, omega):
+        size = mask.bit_count()
+        if size >= omega and _has_clique(adj_p, mask, omega):
             continue
         adj_c = tuple(
             adj_p[v] | bit if mask & (1 << v) else adj_p[v] for v in range(n_p)
         ) + (mask,)
-        accepted = _accept(n_p + 1, adj_c)
+        if size > top + 1 or (size > top and not mask & top_mask):
+            yield adj_c, None
+            continue
+        accepted = _accept(n_p + 1, adj_c, leaf)
         if accepted:
             yield adj_c, accepted[0]
 
@@ -192,10 +276,12 @@ def _walk(
     """Visit ``adj`` and, when ``visit`` returns True, every class in its
     subtree up to ``n_max`` vertices.  ``gens``, when known, generates
     the automorphism group of ``adj`` and is passed on to ``visit`` and
-    `_expand`."""
+    `_expand`.  Children with ``n_max`` vertices are never expanded, so
+    `_expand` is told when it builds them: their canonical-parent test
+    may then accept without finding their group (see `_accept`)."""
     if not visit(n, adj, gens) or n >= n_max:
         return
-    for adj_c, gens_c in _expand(n, adj, dmax, omega, gens):
+    for adj_c, gens_c in _expand(n, adj, dmax, omega, gens, n + 1 >= n_max):
         _walk(n + 1, adj_c, n_max, dmax, omega, visit, gens_c)
 
 
@@ -250,10 +336,10 @@ def _subtree_worker(args) -> dict[int, list]:
 
 
 # The split-level tasks are far from even: of the 10 level-4 tasks of
-# best_up_to(8, 5, 3, 3), one takes 56-60% of the serial time (74-77%
-# at n_max = 9; each task timed alone, 2-CPU host, Python 3.11), so no
-# worker count can make the pool more than about 1.7x (1.3x) faster
-# than one worker.
+# best_up_to(8, 5, 3, 3), one takes 50-55% of the serial time (74-77%
+# at n_max = 9; each task timed alone, best of 3, 2-CPU host, Python
+# 3.11), so no worker count can make the pool more than about 1.8x
+# (1.3x) faster than one worker.
 _SPLIT_LEVEL = 4
 
 

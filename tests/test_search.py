@@ -28,7 +28,7 @@ from cdt import (
 )
 
 from cdt.canon import canon_raw, refine_colors, _orbit_find, _orbit_partition
-from cdt.search import _accept, _count_of_size
+from cdt.search import _accept, _count_of_size, _expand
 from cdt.verify import Sweep, _PATH4, _TRIANGLE, _complete_minus
 from helpers import brute_classes, inline_pool_context, level_graphs
 
@@ -53,6 +53,10 @@ GOLDEN_STREAM_9_3_4 = "55ad2c13e8b51182c59c373aa87d4a07ed4246aa323ec18ac7b99ebd1
 # and the child's group was handed to its own expansion: the class the
 # `extremal` benchmark searches, through the `_has_clique` path
 GOLDEN_STREAM_8_5_3 = "ead6f346c5ce0772cb30292b3f948fd92e969cab9c2befead102877389c53b9a"
+# recorded before the canonical-parent test gained its degree, top-cell
+# and leaf-certificate stages: its last level holds cubic graphs whose
+# last cell is all 10 vertices, the certificate's largest cells
+GOLDEN_STREAM_10_3_3 = "82bfee816ff2bcf1762fa4e531e23ba1314e5ca1d8431e266050ff6f59e75689"
 GOLDEN_LEVELS_8_5_3_3 = [
     (1, 1, 0, ("@",)),
     (2, 2, 0, ("A?", "A_")),
@@ -83,6 +87,10 @@ def test_degree_bounded_stream_matches_golden_digest():
 
 def test_clique_bounded_stream_matches_golden_digest():
     assert _stream_digest(8, 5, 3) == (6138, GOLDEN_STREAM_8_5_3)
+
+
+def test_cubic_stream_matches_golden_digest():
+    assert _stream_digest(10, 3, 3) == (5285, GOLDEN_STREAM_10_3_3)
 
 
 def test_best_up_to_levels_match_golden():
@@ -207,21 +215,99 @@ def _degree_candidates(n, adj, dmax):
         yield tuple(a | 1 << n if mask >> v & 1 else a for v, a in enumerate(adj)) + (mask,)
 
 
-@pytest.mark.parametrize("dmax, omega", [(7, 8), (4, 3)])
+@pytest.mark.parametrize("dmax, omega", [(7, 8), (4, 3), (5, 3)])
 def test_accept_matches_reference_and_hands_over_the_group(dmax, omega):
     parents = []
     enumerate_all_up_to(7, dmax, omega, lambda g: parents.append((g.n, g.adj)))
-    decided = handed = 0
+    for leaf in (False, True):  # off and on the last level
+        decided = handed = 0
+        for n, adj in parents:
+            for child in _degree_candidates(n, adj, dmax):
+                got = _accept(n + 1, child, leaf)
+                assert bool(got) == _reference_accept(n + 1, child), (child, leaf)
+                if got:
+                    decided += 1
+                    if got[0] is not None:
+                        handed += 1
+                        assert got[0] == canon_raw(n + 1, child)[2], (child, leaf)
+        assert decided > handed > 0, leaf
+
+
+def test_leaf_certificate_accepts_vertex_transitive_children_unlabelled(monkeypatch):
+    cycle = [(1 << (v - 1) % 8) | (1 << (v + 1) % 8) for v in range(8)]
+    petersen = [0] * 10
+    for v in range(5):  # outer 5-cycle, spokes, inner pentagram
+        for a, b in ((v, (v + 1) % 5), (v, v + 5), (5 + v, 5 + (v + 2) % 5)):
+            petersen[a] |= 1 << b
+            petersen[b] |= 1 << a
+    children = []
+    for graph in (cycle, petersen):  # C_8 closed from P_7, and the Petersen graph
+        n = len(graph)
+        parent = tuple(a & ~(1 << (n - 1)) for a in graph[:-1])
+        child = tuple(graph)
+        assert child in list(_degree_candidates(n - 1, parent, 3))
+        assert _accept(n, child) == (canon_raw(n, child)[2],)  # labelled off the last level
+        children.append((n, child))
+
+    def unlabelled(*args):
+        raise AssertionError("canon_raw called")
+
+    monkeypatch.setattr("cdt.search.canon_raw", unlabelled)
+    for n, child in children:
+        assert _accept(n, child, True) == (None,)
+        with pytest.raises(AssertionError, match="canon_raw called"):
+            _accept(n, child)
+
+
+def test_degree_and_top_cell_stages_decide_as_refinement(monkeypatch):
+    parents = []
+    enumerate_all_up_to(7, 7, 8, lambda g: parents.append((g.n, g.adj)))
+
+    def decides(n, child, got):
+        colors = refine_colors(n, child, watch=n - 1)
+        cell = _last_cell(colors)
+        if n - 1 not in cell:
+            return got is False
+        return cell == {n - 1} and got == (None,)
+
+    # the degree stage: children `_expand` yields without `_accept`
+    offered = []
+
+    def accept(n, adj, leaf=False):
+        offered.append(adj)
+        return _accept(n, adj, leaf)
+
+    monkeypatch.setattr("cdt.search._accept", accept)
+    by_degree = passed_on = 0
     for n, adj in parents:
-        for child in _degree_candidates(n, adj, dmax):
+        offered.clear()
+        for child, gens in _expand(n, adj, 7, 8):
+            if child not in offered:
+                by_degree += 1
+                assert gens is None and decides(n + 1, child, (None,)), child
+        for child in offered:  # the new vertex shares the maximum degree
+            passed_on += 1
+            degs = [a.bit_count() for a in child]
+            assert degs[n] == max(degs) and degs.count(degs[n]) > 1, child
+    assert by_degree > 0 and passed_on > 0
+
+    # the top-cell stage: `_accept` returns before refining
+    refined = []
+
+    def refine(*args, **kwargs):
+        refined.append(args)
+        return refine_colors(*args, **kwargs)
+
+    monkeypatch.setattr("cdt.search.refine_colors", refine)
+    outcomes = Counter()
+    for n, adj in parents:
+        for child in _degree_candidates(n, adj, 7):
+            refined.clear()
             got = _accept(n + 1, child)
-            assert bool(got) == _reference_accept(n + 1, child), child
-            if got:
-                decided += 1
-                if got[0] is not None:
-                    handed += 1
-                    assert got[0] == canon_raw(n + 1, child)[2], child
-    assert decided > handed > 0
+            if not refined:
+                outcomes[bool(got)] += 1
+                assert decides(n + 1, child, got), child
+    assert outcomes[True] > 0 and outcomes[False] > 0
 
 
 def _last_cell(colors):
