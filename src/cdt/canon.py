@@ -63,7 +63,6 @@ def refine_colors(
     n: int,
     adj: Sequence[int],
     colors: Optional[list[int]] = None,
-    watch: int = -1,
     *,
     split: int = -1,
 ) -> list[int]:
@@ -81,14 +80,6 @@ def refine_colors(
     primary key, so the last cell holds only maximum-degree vertices.
     The canonical-parent rule relies on this: `cdt.search._expand`
     offers `_accept` only children whose new vertex has maximum degree.
-
-    With ``watch`` set to a vertex, refinement stops between rounds as
-    soon as that vertex has left the last cell or is alone in it.  A
-    round only splits cells and keeps their order, so the last cell of
-    the equitable coloring lies inside the current one: the watched
-    vertex's membership of it, and whether it is alone there, are then
-    already decided.  The coloring returned is not equitable in that
-    case; when neither happens it is the full refinement.
 
     With ``split`` set to a vertex, ``colors`` must be equitable and in
     ranks, and the result is the refinement of that coloring with
@@ -138,8 +129,6 @@ def refine_colors(
                 prev = old
             colors = [rank[s] for s in sigs]
         if not fresh or k == n:
-            break
-        if watch >= 0 and (colors[watch] != k - 1 or colors.count(k - 1) == 1):
             break
         masks = [0] * k
         for v in range(n):

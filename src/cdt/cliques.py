@@ -305,9 +305,13 @@ def border_profile(g: Graph, subset: int, dmax: int) -> BorderProfile:
 
 def is_detachable(g: Graph, subset: int, t: int) -> bool:
     """Exact test: no t-clique uses an edge between H and the rest, so
-    k_t adds over the two sides."""
+    k_t adds over the two sides.  A 1-clique uses no edge."""
+    if t < 1:
+        raise ValueError("clique size must be at least 1")
     if subset & ~g.vertex_mask():
         raise GraphError("subset is not contained in the vertex set")
+    if t == 1:
+        return True
     outside = g.vertex_mask() & ~subset
     for v in bits(subset):
         for u in bits(g.adj[v] & outside):

@@ -27,9 +27,7 @@ from multiprocessing import get_context
 from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Graph
-from .canon import (
-    canon_raw, canonical_form, refine_colors, _leaf_form, _orbit_find, _orbit_partition,
-)
+from .canon import canon_raw, canonical_form, refine_colors, _leaf_form, _orbit_partition
 from .cliques import _count_of_size, _has_clique
 from .bounds import exact_value, lower_bound, turan_clique_count
 
@@ -109,9 +107,8 @@ def _accept(n: int, adj: Sequence[int], leaf: bool = False) -> bool | tuple[Opti
        vertex has a larger vector than w, w is not in the last cell
        (reject), and when w's vector is strictly the largest, w is
        alone in it (accept).  A tie goes on.
-    2. Watched refinement.  It stops as soon as w has left the last
-       cell (reject) or is alone in it (accept).  When neither happens,
-       the coloring is the full refinement.
+    2. Refinement.  When w is not in the last cell of the full
+       refinement, reject; when it is alone there, accept.
     3. Leaf certificate, only when ``leaf`` is set: the child is on the
        last level and is never expanded, so its group is not needed.
        From the full refinement, individualize each vertex of the last
@@ -157,7 +154,7 @@ def _accept(n: int, adj: Sequence[int], leaf: bool = False) -> bool | tuple[Opti
         tie = tie or key == key_w
     if not tie:
         return (None,)
-    colors = refine_colors(n, adj, watch=w)
+    colors = refine_colors(n, adj)
     last = max(colors)
     if colors[w] != last:
         return False
@@ -185,7 +182,7 @@ def _accept(n: int, adj: Sequence[int], leaf: bool = False) -> bool | tuple[Opti
         if not gens:
             return False
         parent = _orbit_partition(n, gens)
-        if _orbit_find(parent, z) != _orbit_find(parent, w):
+        if parent[z] != parent[w]:
             return False
     return (gens,)
 

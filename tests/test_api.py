@@ -67,7 +67,8 @@ def test_every_module_level_definition_is_referenced():
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
-    for path in sorted((ROOT / "src" / "cdt").glob("*.py")):
+    paths = sorted(p for folder in ("src/cdt", "tests", "demos") for p in (ROOT / folder).glob("*.py"))
+    for path in paths:
         if path.name == "__init__.py":
             continue  # it imports to re-export
         tree = ast.parse(path.read_text())
@@ -78,7 +79,7 @@ def test_no_module_imports_a_name_it_never_uses():
             elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 imported += [alias.asname or alias.name for alias in node.names]
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{name}" for name in imported if name not in used]
+        unused += [f"{path.parent.name}/{path.name}:{name}" for name in imported if name not in used]
     assert unused == []
 
 

@@ -10,6 +10,7 @@ search without backjumps, also kept verbatim.
 
 import hashlib
 import random
+import sys
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -37,6 +38,7 @@ from cdt.canon import (
     canon_raw,
     refine_colors,
     _orbit_find,
+    _orbit_merge,
     _orbit_partition,
     _permutation_between,
 )
@@ -437,6 +439,31 @@ def test_canon_raw_matches_reference():
             assert orbits[lab[n - 1]] == orbits[ref_lab[n - 1]]
             if n <= 7:
                 assert _closure(n, gens) == _closure(n, ref_gens)
+
+
+def test_pruning_merges_only_generators_that_fix_the_path(monkeypatch):
+    # a child is skipped when it shares an orbit with a branched sibling
+    # under the generators fixing ``base``, the path to the node; a
+    # generator that moves a base vertex may join orbits of the node's
+    # cell that the stabilizer keeps apart
+    merges = moved = 0
+
+    def merge(parent, g):
+        nonlocal merges, moved
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "rec":
+            base, gens = caller.f_locals["base"], caller.f_locals["gens"]
+            assert all(g[b] == b for b in base), (base, g)
+            merges += 1
+            moved += any(h[b] != b for h in gens for b in base)
+        _orbit_merge(parent, g)
+
+    monkeypatch.setattr("cdt.canon._orbit_merge", merge)
+    graphs = []
+    assert enumerate_all_up_to(7, 7, 8, graphs.append) == 1252
+    for g in graphs + [turan_graph(12, 6), turan_graph(16, 4)]:
+        canon_raw(g.n, g.adj)
+    assert merges > moved > 0
 
 
 def _digest_corpus():

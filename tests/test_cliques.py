@@ -271,6 +271,11 @@ def test_border_profile_shared_triangle():
     prof = border_profile(g, 0b00111, 4)
     assert (0, 2) in prof.border  # glue vertex has two cross edges
     assert not is_detachable(g, 0b00111, 3)  # triangle counts do not add
+    p2 = path_graph(2)
+    assert is_detachable(p2, 0b01, 1)  # vertex counts add over every cut
+    assert not is_detachable(p2, 0b01, 2)
+    with pytest.raises(ValueError, match="at least 1"):
+        is_detachable(p2, 0b01, 0)
 
 
 def test_detachable_no_cross_edges():
@@ -294,7 +299,8 @@ def test_detach_sufficiency_implies_exact_exhaustively():
         dmax = max_degree(g)
         for subset in range(1, g.vertex_mask() + 1):
             prof = border_profile(g, subset, dmax)
-            for t in range(2, g.n + 1):
+            assert is_detachable(g, subset, 1)  # k_1 adds over every cut
+            for t in range(1, g.n + 1):
                 if detach_sufficient(prof, t):
                     assert is_detachable(g, subset, t)
 

@@ -1,7 +1,6 @@
 """Exhaustive enumeration engine and the brute-force verification ops."""
 
 import hashlib
-import random
 import signal
 from collections import Counter
 from fractions import Fraction
@@ -264,7 +263,7 @@ def test_degree_and_top_cell_stages_decide_as_refinement(monkeypatch):
     enumerate_all_up_to(7, 7, 8, lambda g: parents.append((g.n, g.adj)))
 
     def decides(n, child, got):
-        colors = refine_colors(n, child, watch=n - 1)
+        colors = refine_colors(n, child)
         cell = _last_cell(colors)
         if n - 1 not in cell:
             return got is False
@@ -313,30 +312,6 @@ def test_degree_and_top_cell_stages_decide_as_refinement(monkeypatch):
 def _last_cell(colors):
     last = max(colors)
     return {v for v, c in enumerate(colors) if c == last}
-
-
-def test_watched_refinement_decides_as_the_full_one():
-    rng = random.Random(9)
-    graphs = []
-    enumerate_all_up_to(7, 7, 8, lambda g: graphs.append((g.n, g.adj)))
-    stopped = 0
-    for n, adj in graphs:
-        starts = [None, [rng.randrange(n) for _ in range(n)], [rng.randrange(3) for _ in range(n)]]
-        for colors in starts:
-            full = refine_colors(n, adj, None if colors is None else list(colors))
-            cell = _last_cell(full)
-            for v in range(n):
-                got = refine_colors(n, adj, None if colors is None else list(colors), watch=v)
-                if got == full:
-                    continue
-                stopped += 1
-                # stopped early: the vertex is decided, and as the full
-                # refinement decides it
-                early = _last_cell(got)
-                assert v not in early or early == {v}, (adj, colors, v)
-                assert (v in early) == (v in cell), (adj, colors, v)
-                assert (early == {v}) == (cell == {v}), (adj, colors, v)
-    assert stopped > 0
 
 
 # -- maxima ---------------------------------------------------------------
