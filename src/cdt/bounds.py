@@ -116,6 +116,8 @@ def effective_omega(dmax: int, omega: int) -> int:
 
 def lower_bound_graph(dmax: int, omega: int) -> Graph:
     """The witness construction T(dmax + a, omega) for the lower bound."""
+    if dmax < 1:
+        raise ValueError("degree bound must be at least 1")
     omega = effective_omega(dmax, omega)
     if omega < 2:
         raise ValueError("clique bound must be at least 2")

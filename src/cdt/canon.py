@@ -43,9 +43,10 @@ packed into one int, in base n+1 with the old color as the leading
 digit: every entry is at most n and all keys of a round have the same
 length, so numeric order is the lexicographic order of the
 (color, counts...) tuples, and sorting ints replaces sorting tuples.
-Individualizing a vertex of an equitable coloring splits only its own
-cell, so a child of the labeling tree starts with one fresh cell, the
-vertex itself.
+Refinement enters at the unit coloring, whose first round ranks the
+degrees, or at an equitable coloring with one vertex individualized,
+which splits only its own cell: a child of the labeling tree starts
+with one fresh cell, the vertex itself.
 
 Everything here works on raw (n, adjacency-row tuple) pairs so the
 enumeration engine can stay allocation-light; thin wrappers accept
@@ -66,7 +67,12 @@ def refine_colors(
     *,
     split: int = -1,
 ) -> list[int]:
-    """Coarsest equitable coloring refining ``colors`` (default: unit).
+    """Coarsest equitable coloring, from one of two entries:
+    ``refine_colors(n, adj)`` refines the unit coloring, and
+    ``refine_colors(n, adj, colors, split=v)`` refines ``colors``, which
+    must be equitable and in ranks, with ``v`` individualized (put first
+    in its cell), as `canon_raw` does for a child of the labeling tree.
+    A ``colors`` argument comes only with ``split``.
 
     Color ids are ranks 0..k-1 assigned in an isomorphism-invariant
     order: vertices are re-keyed each round by (old color, neighbor
@@ -80,54 +86,37 @@ def refine_colors(
     primary key, so the last cell holds only maximum-degree vertices.
     The canonical-parent rule relies on this: `cdt.search._expand`
     offers `_accept` only children whose new vertex has maximum degree.
-
-    With ``split`` set to a vertex, ``colors`` must be equitable and in
-    ranks, and the result is the refinement of that coloring with
-    ``split`` individualized: put first in its cell, as `canon_raw`
-    does for a child of the labeling tree.
     """
     if n == 0:
         return []
-    if split >= 0:
+    if split < 0:
+        # round one keys the unit coloring by degree: every old color
+        # is 0, so every cell but the last (maximum degree) is fresh
+        sigs = [a.bit_count() for a in adj]
+        shift = n + 1
+    else:
         # keys (old color, not split itself, adjacent to split) in base
         # 2: split's own cell is the one fresh cell, and the keys' leading
         # digits 2c and 2c+1 tell split from the rest of its cell c
         sigs = [4 * c + 2 + (a >> split & 1) for c, a in zip(colors, adj)]
         sigs[split] = 4 * colors[split]
-        order = sorted(set(sigs))
         shift = 2
-    else:
-        unit = colors is None
-        if unit:
-            # round one from the unit coloring: ranked degrees
-            colors = [a.bit_count() for a in adj]
-        ids = sorted(set(colors))
-        k = len(ids)
-        if ids[0] == 0 and ids[-1] == k - 1:
-            colors = list(colors)  # already ranks; never alias the input
-        else:
-            rank = {c: i for i, c in enumerate(ids)}
-            colors = [rank[c] for c in colors]
-        # the degree round split the one unit cell: its last fragment
-        # (maximum degree) is the only cell not fresh
-        fresh = range(k - 1) if unit else range(k)
-        order = None
     base = n + 1
+    order = sorted(set(sigs))
     while True:
-        if order is not None:
-            # rank the last round's keys; a new cell is fresh unless it
-            # is the last one with its old color, the leading digit
-            k = len(order)
-            rank = {}
-            fresh = []
-            prev = -1
-            for i, s in enumerate(order):
-                rank[s] = i
-                old = s // shift
-                if old == prev:
-                    fresh.append(i - 1)
-                prev = old
-            colors = [rank[s] for s in sigs]
+        # rank the last round's keys; a new cell is fresh unless it is
+        # the last one with its old color, the leading digit
+        k = len(order)
+        rank = {}
+        fresh = []
+        prev = -1
+        for i, s in enumerate(order):
+            rank[s] = i
+            old = s // shift
+            if old == prev:
+                fresh.append(i - 1)
+            prev = old
+        colors = [rank[s] for s in sigs]
         if not fresh or k == n:
             break
         masks = [0] * k

@@ -193,12 +193,6 @@ def clique_count(g: Graph, t: int) -> int:
     """Exact number of t-vertex complete subgraphs; 0 for t > n."""
     if t < 0:
         raise ValueError("clique size must be non-negative")
-    if t > g.n:
-        return 0
-    if t == 0:
-        return 1
-    if t == 1:
-        return g.n
     return _count_of_size(g.adj, g.vertex_mask(), t)
 
 
@@ -216,8 +210,6 @@ def vertex_weight(g: Graph, v: int, t: int) -> int:
     g._check_vertex(v)
     if t <= 0:
         return 0
-    if t == 1:
-        return 1
     return _count_of_size(g.adj, g.adj[v], t - 1)
 
 
@@ -227,8 +219,6 @@ def edge_weight(g: Graph, u: int, v: int, t: int) -> int:
         raise GraphError(f"({u},{v}) is not an edge")
     if t <= 1:
         return 0
-    if t == 2:
-        return 1
     return _count_of_size(g.adj, g.adj[u] & g.adj[v], t - 2)
 
 

@@ -21,9 +21,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import cliques
 from .bounds import rho_monotone_check, turan_clique_count, turan_graph
 from .canon import canonical_form
-from .cliques import _per_vertex_size_counts, _size_counts, clique_size_counts
+from .cliques import _is_perfect, _per_vertex_size_counts, _size_counts, clique_size_counts
 from .cliques import find_configurations, vertex_cover_count
-from .graphs import Graph, bits, complete_graph, empty_graph, induced, path_graph, union
+from .graphs import Graph, bits, complete_graph, empty_graph, path_graph, union
 from .search import enumerate_all_up_to
 
 CEILING_PAIRS = ((5, 3), (5, 4), (6, 5), (6, 6))
@@ -87,9 +87,6 @@ class Sweep:
             (d, w): [turan_clique_count(d, w - 1, t - 1) if t >= 1 else 0 for t in range(n_max + 1)]
             for d, w in CEILING_PAIRS
         }
-        self.turan_nbhd_form = {
-            (d, w): canonical_form(turan_graph(d, w - 1)) for d, w in CEILING_PAIRS
-        }
 
     def run(self) -> "Sweep":
         enumerate_all_up_to(self.n_max, self.n_max, self.n_max + 1, self.visit)
@@ -121,16 +118,15 @@ class Sweep:
         self.covered["ceiling"] += bool(pairs)
         for d, wbound in pairs:
             ceil = self.ceilings[(d, wbound)]
-            nbhd = self.turan_nbhd_form[(d, wbound)]
             if any(max_w[t] > ceil[t] for t in range(2, n + 1)):
                 self._fail("ceiling", g)
             # attaining the ceiling at a size with room forces the
-            # extremal neighborhood
+            # Turan neighborhood T(d, wbound - 1)
             for t in range(3, min(n, wbound) + 1):
                 if ceil[t] == 0:
                     continue
                 for v in range(n):
-                    if weights[v][t] == ceil[t] and canonical_form(induced(g, adj[v])) != nbhd:
+                    if weights[v][t] == ceil[t] and not _is_perfect(adj, v, d, wbound - 1):
                         self._fail("equality", g)
 
         # every heavy vertex has a light neighbor (degree 5 / clique 4)

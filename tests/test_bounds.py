@@ -98,6 +98,14 @@ def test_lower_bound_graph_examples():
         assert is_isomorphic(lower_bound_graph(omega - 1, omega), complete_graph(omega))
 
 
+def test_lower_bound_graph_blames_the_degree_bound():
+    # a degree bound below 1 clamps the effective clique bound below 2:
+    # the error must name the bound that is wrong
+    for dmax, omega in ((0, 2), (-1, 3)):
+        with pytest.raises(ValueError, match="degree bound must be at least 1"):
+            lower_bound_graph(dmax, omega)
+
+
 def test_lower_bound_graph_attains_degree_and_density():
     for dmax in range(1, 20):
         for omega in range(2, dmax + 2):

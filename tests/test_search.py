@@ -9,6 +9,7 @@ import pytest
 
 from cdt import (
     CapExceeded,
+    Graph,
     beat,
     best_up_to,
     bt_density,
@@ -456,6 +457,23 @@ def test_sweep_lists_each_failing_graph_once():
     ceiling = sweep.run().checks()["ceiling"]
     assert not ceiling.ok
     assert len(ceiling.failures) == len(set(ceiling.failures)) <= ceiling.covered
+
+
+def test_sweep_lists_each_graph_failing_equality_once(monkeypatch):
+    # a vertex that attains a ceiling must have a Turan neighbourhood:
+    # deny every one, and each graph that has such a vertex fails once
+    checked = set()
+
+    def never_perfect(adj, v, d, r):
+        checked.add(canonical_form(Graph(len(adj), adj)))
+        return False
+
+    want = Sweep(6).run().checks()["equality"]
+    monkeypatch.setattr("cdt.verify._is_perfect", never_perfect)
+    equality = Sweep(6).run().checks()["equality"]
+    assert want.ok and not equality.ok
+    assert sorted(equality.failures) == sorted(checked)
+    assert equality.covered == want.covered
 
 
 def test_sweep_keeps_zykov_maximizers_only_where_turan_has_the_clique():
