@@ -38,6 +38,8 @@ EXIT_CAP = 4
 EXIT_CHECK_FAILED = 5
 EXIT_INTERRUPTED = 130
 
+DEFAULT_CAP = 11  # `cdt search` sizes beyond this ask for --max-n or CDT_MAX_N
+
 
 def _rational(f: Fraction) -> dict:
     return {"exact": f"{f}", "decimal": float(f)}
@@ -62,7 +64,9 @@ def _document(command: str, inputs: dict, outputs: dict, witnesses: list[str],
     }
 
 
-def _resolve_cap(args) -> Optional[int]:
+def _resolve_cap(args) -> int:
+    """The enumeration cap of `cdt search`: --max-n over CDT_MAX_N over
+    DEFAULT_CAP, at most the engine's hard cap."""
     cap = args.max_n
     env = os.environ.get("CDT_MAX_N")
     if cap is None and env is not None:
@@ -70,9 +74,11 @@ def _resolve_cap(args) -> Optional[int]:
             cap = int(env)
         except ValueError:
             raise ValueError(f"CDT_MAX_N={env!r} is not an integer") from None
-    if cap is not None and cap < 1:
+    if cap is None:
+        cap = DEFAULT_CAP
+    if cap < 1:
         raise ValueError(f"the enumeration cap must be at least 1, got {cap}")
-    return cap
+    return min(cap, se.HARD_CAP)
 
 
 # -- bounds -----------------------------------------------------------------
@@ -239,10 +245,15 @@ def _cmd_search(args) -> int:
         n_lo = n_hi = args.n
     else:
         n_lo, n_hi = args.n_range
-    report = se.best_up_to(
-        n_hi, args.dmax, args.omega, args.t,
-        thread_count=args.threads, cap=_resolve_cap(args),
-    )
+    se._check_cap(n_hi, _resolve_cap(args))
+    report = se.best_up_to(n_hi, args.dmax, args.omega, args.t, thread_count=args.threads)
+    meets_lower = exact = meets_exact = None
+    if args.omega >= 2 and args.dmax >= 1:
+        meets_lower = report.best_density == bd.lower_bound(args.t, args.dmax, args.omega)
+        ev = bd.exact_value(args.t, args.dmax, args.omega)
+        if ev is not None:
+            exact = ev.value
+            meets_exact = report.best_density == exact
     shown = [lv for lv in report.levels if n_lo <= lv.n <= n_hi]
     if args.json:
         outputs = {
@@ -258,9 +269,9 @@ def _cmd_search(args) -> int:
             ],
             "best_density": _rational(report.best_density),
             "best_n": report.best_n,
-            "meets_lower_bound": report.meets_lower_bound,
-            "exact_known": _rational(report.exact_known) if report.exact_known is not None else None,
-            "meets_exact": report.meets_exact,
+            "meets_lower_bound": meets_lower,
+            "exact_known": _rational(exact) if exact is not None else None,
+            "meets_exact": meets_exact,
             "pruned": report.pruned,
             "wall_time": report.wall_time,
         }
@@ -283,7 +294,7 @@ def _cmd_search(args) -> int:
               f" max k_{args.t}={lv.max_clique_count},"
               f" max density {_fmt(lv.max_density)}, witnesses: {wits}")
     print(f"best {_fmt(report.best_density)} at n={report.best_n}"
-          + (f"; proven optimum {_fmt(report.exact_known)}" if report.exact_known is not None else ""))
+          + (f"; proven optimum {_fmt(exact)}" if exact is not None else ""))
     return EXIT_OK
 
 
@@ -350,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--max-n", type=int,
-                   help=f"enumeration cap (beats CDT_MAX_N; default {se.DEFAULT_CAP},"
+                   help=f"enumeration cap (beats CDT_MAX_N; default {DEFAULT_CAP},"
                         f" at most {se.HARD_CAP})")
     p.set_defaults(func=_cmd_search)
 

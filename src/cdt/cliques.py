@@ -382,14 +382,15 @@ class ConfigurationFinding:
 def find_configurations(g: Graph, r: int) -> list[ConfigurationFinding]:
     """All (r+1)-subsets inducing K_{r+1} minus exactly two edges.
 
-    Plain subset scan; intended for graphs in the degree-r, clique-r
-    class at desk scale.
+    Subset scan over the vertices of degree at least r - 2: in K_{r+1}
+    minus two edges every vertex keeps r - 2 neighbours.  Intended for
+    graphs in the degree-r, clique-r class at desk scale.
     """
     found = []
     size = r + 1
     if size > g.n or size < 2:
         return found
-    for combo in combinations(range(g.n), size):
+    for combo in combinations([v for v in range(g.n) if g.adj[v].bit_count() >= r - 2], size):
         missing = []
         for a in range(size):
             if len(missing) > 2:

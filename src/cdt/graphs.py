@@ -1,9 +1,10 @@
 """Small-graph kernel on single-word adjacency bitsets.
 
 A graph is stored as a vertex count ``n`` plus one integer bitmask per
-vertex holding its open neighborhood.  Everything in this package lives
-at n <= 12, so a hard capacity of 64 vertices keeps every set operation
-a single machine-word ``&``/``|``/``bit_count``.
+vertex holding its open neighborhood.  The exhaustive search stays at
+n <= 16 (its hard cap) and the named constructions within a hard
+capacity of 64 vertices, so every set operation is a single
+machine-word ``&``/``|``/``bit_count``.
 
 Graphs are immutable values: every combinator returns a fresh Graph, so
 they can be shared freely across worker processes.

@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .bounds import conjectured_value, lower_bound
 from .canon import canonical_form
@@ -25,8 +25,7 @@ class BeatResult(NamedTuple):
     report: SearchReport
 
 
-def beat(t: int, dmax: int, omega: int, n_cap: int,
-         thread_count: int = 1, cap: Optional[int] = None) -> BeatResult:
+def beat(t: int, dmax: int, omega: int, n_cap: int, thread_count: int = 1) -> BeatResult:
     """Does a graph on at most n_cap vertices, with maximum degree <= dmax
     and clique number <= omega, beat max(lower_bound, conjectured_value)
     in t-clique density?
@@ -38,7 +37,7 @@ def beat(t: int, dmax: int, omega: int, n_cap: int,
     mismatch raises RuntimeError.
     """
     target = max(lower_bound(t, dmax, omega), conjectured_value(t, dmax, omega) or 0)
-    report = best_up_to(n_cap, dmax, omega, t, thread_count=thread_count, prune_target=target, cap=cap)
+    report = best_up_to(n_cap, dmax, omega, t, thread_count=thread_count, prune_target=target)
     ties = {lv.n: lv.witnesses for lv in report.levels if lv.max_density == target}
     beats = {lv.n: lv.witnesses for lv in report.levels if lv.max_density > target}
     for n, witnesses in (ties | beats).items():

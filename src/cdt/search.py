@@ -29,18 +29,17 @@ from typing import Callable, Iterator, Optional, Sequence
 from .graphs import Graph
 from .canon import canon_raw, canonical_form, refine_colors, _leaf_form, _orbit_partition
 from .cliques import _count_of_size, _has_clique
-from .bounds import exact_value, lower_bound, turan_clique_count
+from .bounds import turan_clique_count
 
-DEFAULT_CAP = 11
-HARD_CAP = 16
+HARD_CAP = 16  # the engine's range; a front end may set a lower cap
 
 
 class CapExceeded(RuntimeError):
-    """Requested size is beyond the configured enumeration cap."""
+    """Requested size is beyond the enumeration cap."""
 
 
-def _check_cap(n: int, cap: Optional[int]) -> None:
-    limit = DEFAULT_CAP if cap is None else min(cap, HARD_CAP)
+def _check_cap(n: int, cap: Optional[int] = None) -> None:
+    limit = HARD_CAP if cap is None else min(cap, HARD_CAP)
     if n > limit:
         raise CapExceeded(f"n = {n} exceeds the enumeration cap {limit}")
 
@@ -390,9 +389,6 @@ class SearchReport:
     levels: list[LevelResult]
     best_density: Fraction
     best_n: int
-    meets_lower_bound: Optional[bool]
-    exact_known: Optional[Fraction]
-    meets_exact: Optional[bool]
     pruned: bool
     wall_time: float
 
@@ -419,7 +415,6 @@ def best_up_to(
     t: int,
     thread_count: int = 1,
     prune_target: Optional[Fraction] = None,
-    cap: Optional[int] = None,
 ) -> SearchReport:
     """Per-size maxima of the t-clique density over the class, with all
     extremal witnesses up to isomorphism."""
@@ -430,28 +425,16 @@ def best_up_to(
     _check_class(dmax, omega)
     if thread_count < 1:
         raise ValueError("need at least one worker thread")
-    _check_cap(n_max, cap)
+    _check_cap(n_max)
     t0 = time.perf_counter()
     levels = _search_levels(n_max, dmax, omega, t, thread_count, prune_target)
     out = _finalize_levels(levels)
     best = max(lv.max_density for lv in out)
     best_n = min(lv.n for lv in out if lv.max_density == best)
-    meets_lower = None
-    exact_known = None
-    meets_exact = None
-    if omega >= 2 and dmax >= 1:
-        meets_lower = best == lower_bound(t, dmax, omega)
-        ev = exact_value(t, dmax, omega)
-        if ev is not None:
-            exact_known = ev.value
-            meets_exact = best == ev.value
     return SearchReport(
         levels=out,
         best_density=best,
         best_n=best_n,
-        meets_lower_bound=meets_lower,
-        exact_known=exact_known,
-        meets_exact=meets_exact,
         pruned=prune_target is not None,
         wall_time=time.perf_counter() - t0,
     )
@@ -465,7 +448,8 @@ def enumerate_all_up_to(
     cap: Optional[int] = None,
 ) -> int:
     """Visit one representative per isomorphism class of every size
-    1..n_max; returns the number visited."""
+    1..n_max; returns the number visited.  ``cap`` may only lower the
+    limit below `HARD_CAP`; ``perfbench/tests`` passes it positionally."""
     _check_class(dmax, omega)
     _check_cap(n_max, cap)
     count = 0

@@ -52,10 +52,10 @@ def brute_clique_count(g: Graph, t: int) -> int:
     return count
 
 
-def level_graphs(n: int, dmax: int, omega: int, cap=None) -> list[Graph]:
+def level_graphs(n: int, dmax: int, omega: int) -> list[Graph]:
     """The class representatives `enumerate_all_up_to` visits at level n."""
     out: list[Graph] = []
-    enumerate_all_up_to(n, dmax, omega, lambda g: g.n == n and out.append(g), cap=cap)
+    enumerate_all_up_to(n, dmax, omega, lambda g: g.n == n and out.append(g))
     return out
 
 

@@ -83,15 +83,26 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def _package_imports(module: str) -> set[str]:
+    """The dotted names ``cdt.<module>`` imports from the package:
+    ``from .x import y`` gives ``cdt.x.y``, ``from . import x`` ``cdt.x``."""
+    tree = ast.parse((ROOT / "src" / "cdt" / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["cdt" if node.level else None, node.module]))
+            names |= {f"{base}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+    return {name for name in names if name.split(".")[0] == "cdt"}
+
+
 def test_bounds_imports_only_the_graph_kernel():
     # the closed forms need neither canonical labelling nor clique search
-    tree = ast.parse((ROOT / "src" / "cdt" / "bounds.py").read_text())
-    package_modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
-            package_modules |= {node.module} if node.module else {a.name for a in node.names}
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cdt":
-            package_modules.add(node.module)
-        elif isinstance(node, ast.Import):
-            package_modules |= {a.name for a in node.names if a.name.split(".")[0] == "cdt"}
-    assert package_modules == {"graphs"}
+    assert {name.split(".")[1] for name in _package_imports("bounds")} == {"graphs"}
+
+
+def test_search_takes_only_the_prune_ceiling_from_bounds():
+    # comparing a search with the bound registry is the caller's business
+    from_bounds = {name for name in _package_imports("search") if name.split(".")[1] == "bounds"}
+    assert from_bounds == {"cdt.bounds.turan_clique_count"}

@@ -246,6 +246,22 @@ def test_search_json(capsys):
     assert levels[0]["max_density"]["exact"] == "4/3"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["-n", "6", "-d", "5", "-w", "3"], (False, "15/8", False)),
+    (["-n", "5", "-d", "4", "-w", "4"], (True, "7/5", True)),
+    (["-n", "2", "-d", "1", "-w", "1"], (None, None, None)),
+    (["-n", "3", "-d", "62", "-w", "32"], (False, "620", False)),
+    # the best density is over every level 1..8, not only the shown ones
+    (["--n-range", "3:8", "-d", "5", "-w", "3"], (False, "15/8", True)),
+])
+def test_search_json_compares_with_the_bound_registry(capsys, argv, expected):
+    code, out, _ = run(capsys, ["search", *argv, "-t", "3", "--json"])
+    assert code == 0
+    outputs = validate_schema(out)["outputs"]
+    exact = outputs["exact_known"]
+    assert (outputs["meets_lower_bound"], exact and exact["exact"], outputs["meets_exact"]) == expected
+
+
 def test_search_range_human(capsys):
     code, out, _ = run(capsys, ["search", "--n-range", "3:5", "-d", "2",
                                 "-w", "3", "-t", "3"])

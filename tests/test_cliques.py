@@ -404,3 +404,26 @@ def test_disjoint_blocks_give_two_configurations():
     found = find_configurations(g, 6)
     assert len(found) == 2
     assert found[0].vertices & found[1].vertices == 0
+
+
+def _reference_configurations(g, r):
+    """(vertex mask, missing edges, incident) of every (r+1)-subset
+    missing exactly two edges, by scanning all subsets in order."""
+    out = []
+    for combo in combinations(range(g.n), r + 1):
+        missing = [(u, v) for u, v in combinations(combo, 2) if not g.adj[u] >> v & 1]
+        if len(missing) == 2:
+            out.append((sum(1 << v for v in combo), tuple(missing), len(set(sum(missing, ()))) == 3))
+    return out
+
+
+def test_configurations_match_a_full_subset_scan_up_to_8_vertices():
+    # every class on at most 8 vertices; the incident K_7 case above pins
+    # the boundary where a vertex has degree exactly r - 2
+    graphs = []
+    enumerate_all_up_to(8, 7, 8, graphs.append)
+    assert len(graphs) == 13598
+    for r in (5, 6, 7):
+        for g in graphs:
+            got = [(c.vertices, c.missing_edges, c.incident) for c in find_configurations(g, r)]
+            assert got == _reference_configurations(g, r), (g.n, g.adj, r)

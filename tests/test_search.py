@@ -17,6 +17,7 @@ from cdt import (
     clique_count,
     clique_number,
     enumerate_all_up_to,
+    exact_value,
     graph6_decode,
     is_isomorphic,
     lower_bound,
@@ -99,7 +100,7 @@ def test_best_up_to_levels_match_golden():
     assert got == GOLDEN_LEVELS_8_5_3_3
     assert report.best_density == Fraction(15, 8)
     assert report.best_n == 8
-    assert report.meets_exact is True
+    assert report.best_density == exact_value(3, 5, 3).value
 
 
 def test_all_four_vertex_graphs():
@@ -169,13 +170,21 @@ def test_enumerate_rejects_the_class_bounds_best_up_to_rejects(dmax, omega):
     assert str(got.value) == str(want.value)
 
 
-def test_cap_enforced():
+def test_cap_enforced(monkeypatch):
+    # the library rejects only sizes beyond the engine's range, before walking
+    monkeypatch.setattr("cdt.search._walk", lambda *args: pytest.fail("walked"))
+    visited = []
     with pytest.raises(CapExceeded):
-        level_graphs(12, 3, 3)
+        enumerate_all_up_to(17, 3, 3, visited.append)
     with pytest.raises(CapExceeded):
-        best_up_to(12, 3, 3, 3)
-    with pytest.raises(CapExceeded):
-        level_graphs(17, 3, 3, cap=17)  # hard cap wins
+        best_up_to(17, 3, 3, 3)
+    assert visited == []
+    # the default cap of 11 is the CLI's alone
+    searched = []
+    monkeypatch.setattr("cdt.search._search_levels",
+                        lambda *args: searched.append(args) or {1: [1, 0, [(0,)]]})
+    assert best_up_to(12, 3, 3, 3).best_n == 1
+    assert searched == [(12, 3, 3, 3, 1, None)]
 
 
 # -- the canonical-parent test -------------------------------------------------
@@ -335,7 +344,7 @@ def test_max_density_matches_proven_value_small():
     report = best_up_to(6, 4, 4, 3)
     assert report.best_density == Fraction(7, 5)
     assert report.best_n == 5
-    assert report.meets_exact is True
+    assert report.best_density == exact_value(3, 4, 4).value
     lv = report.level(5)
     assert lv.witnesses == (canonical_form(turan_graph(5, 4)),)
 
@@ -346,7 +355,7 @@ def test_best_up_to_tiny_class():
     assert report.best_n == 3
     report = best_up_to(3, 62, 32, 3)  # the proven optimum's witness is T(64, 32)
     assert report.best_density == Fraction(1, 3)
-    assert report.exact_known == 620
+    assert exact_value(3, 62, 32).value == 620
 
 
 def test_best_up_to_small_sizes_capped_by_lower_bound():
@@ -355,7 +364,6 @@ def test_best_up_to_small_sizes_capped_by_lower_bound():
         a = (dmax // (omega - 1))
         report = best_up_to(dmax + a, dmax, omega, 3)
         assert report.best_density == lower_bound(3, dmax, omega)
-        assert report.meets_lower_bound is True
 
 
 def test_report_levels_are_complete_and_sorted():
