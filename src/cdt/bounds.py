@@ -17,10 +17,6 @@ from typing import Optional
 from .graphs import MAX_VERTICES, Graph, GraphError, build_graph, join, max_degree
 
 
-def _comb(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0
-
-
 # -- Turan graphs -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -71,14 +67,8 @@ def turan_clique_count(n: int, r: int, t: int) -> int:
         raise ValueError("clique size must be non-negative")
     shape = turan_shape(n, r)
     q, c, r = shape.q, shape.c, shape.r
-    total = 0
-    for k in range(c + 1):
-        if k > t:
-            break
-        rest = _comb(r - c, t - k)
-        if rest:
-            total += _comb(c, k) * rest * (q + 1) ** k * q ** (t - k)
-    return total
+    return sum(comb(c, k) * comb(r - c, t - k) * (q + 1) ** k * q ** (t - k)
+               for k in range(min(c, t) + 1))
 
 
 def turan_density(n: int, r: int, t: int) -> Fraction:
@@ -151,7 +141,7 @@ def asymptotic_leading(t: int, dmax: int, omega: int) -> Fraction:
     """Leading term (1/t) C(omega-1, t-1) (dmax/(omega-1))^(t-1): both
     bounds approach it as dmax grows with t, omega fixed."""
     _check_bound_args(t, dmax, omega)
-    return Fraction(_comb(omega - 1, t - 1), t) * Fraction(dmax, omega - 1) ** (t - 1)
+    return Fraction(comb(omega - 1, t - 1), t) * Fraction(dmax, omega - 1) ** (t - 1)
 
 
 def _check_bound_args(t: int, dmax: int, omega: int) -> None:

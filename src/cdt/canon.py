@@ -87,8 +87,6 @@ def refine_colors(
     The canonical-parent rule relies on this: `cdt.search._expand`
     offers `_accept` only children whose new vertex has maximum degree.
     """
-    if n == 0:
-        return []
     if split < 0:
         # round one keys the unit coloring by degree: every old color
         # is 0, so every cell but the last (maximum degree) is fresh
@@ -201,18 +199,16 @@ def canon_raw(
     if n == 0:
         return [], (), []
     gens: list[tuple[int, ...]] = []
-    first_form: Optional[tuple[int, ...]] = None
-    first_lab: list[int] = []
-    first_base: list[int] = []
-    best_form: Optional[tuple[int, ...]] = None
-    best_lab: list[int] = []
-    best_base: list[int] = []
+    # (form, lab, base) of the first leaf and of the best leaf so far
+    first: Optional[tuple] = None
+    best: Optional[tuple] = None
 
-    def backjump(lab_a: list[int], base_a: list[int], lab: list[int], base: list[int]) -> int:
-        """Record the automorphism sending leaf a onto the current leaf
-        and return the depth to resume at: the first index where the
-        two paths differ, or n (no jump) if the map does not send one
-        path onto the other up to there."""
+    def backjump(leaf: tuple, lab: list[int], base: list[int]) -> int:
+        """Record the automorphism sending the recorded ``leaf`` onto
+        the current leaf and return the depth to resume at: the first
+        index where the two paths differ, or n (no jump) if the map
+        does not send one path onto the other up to there."""
+        _, lab_a, base_a = leaf
         p = _permutation_between(lab_a, lab, n)
         if p not in gens:
             gens.append(p)
@@ -224,22 +220,20 @@ def canon_raw(
         return n
 
     def handle_leaf(colors: list[int], base: list[int]) -> int:
-        nonlocal first_form, first_lab, first_base, best_form, best_lab, best_base
+        nonlocal first, best
         lab = [0] * n
         for v in range(n):
             lab[colors[v]] = v
         form = _leaf_form(n, adj, colors)
-        if first_form is None:
-            first_form = best_form = form
-            first_lab = best_lab = lab
-            first_base = best_base = list(base)
+        if first is None:
+            first = best = (form, lab, list(base))
             return n
-        if form == first_form:
-            return backjump(first_lab, first_base, lab, base)
-        if form == best_form:
-            return backjump(best_lab, best_base, lab, base)
-        if form < best_form:
-            best_form, best_lab, best_base = form, lab, list(base)
+        if form == first[0]:
+            return backjump(first, lab, base)
+        if form == best[0]:
+            return backjump(best, lab, base)
+        if form < best[0]:
+            best = (form, lab, list(base))
         return n
 
     def rec(colors: list[int], base: list[int]) -> int:
@@ -285,8 +279,9 @@ def canon_raw(
     # rec holds itself through its closure cell; clearing the cell frees
     # the graph and the search state now, not at the next cyclic collection
     del rec
-    assert best_form is not None
-    return best_lab, best_form, gens
+    assert best is not None
+    form, lab, _ = best
+    return lab, form, gens
 
 
 def canonical_form(g: Graph) -> str:
@@ -304,7 +299,7 @@ def canonical_graph(g: Graph) -> Graph:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.edge_count() != h.edge_count():
+    if g.n != h.n:
         return False
     if sorted(r.bit_count() for r in g.adj) != sorted(r.bit_count() for r in h.adj):
         return False

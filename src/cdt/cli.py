@@ -45,9 +45,7 @@ def _rational(f: Fraction) -> dict:
     return {"exact": f"{f}", "decimal": float(f)}
 
 
-def _fmt(f: Optional[Fraction]) -> str:
-    if f is None:
-        return "-"
+def _fmt(f: Fraction) -> str:
     return f"{f} (~{float(f):.6g})" if f.denominator != 1 else f"{f}"
 
 
@@ -66,7 +64,7 @@ def _document(command: str, inputs: dict, outputs: dict, witnesses: list[str],
 
 def _resolve_cap(args) -> int:
     """The enumeration cap of `cdt search`: --max-n over CDT_MAX_N over
-    DEFAULT_CAP, at most the engine's hard cap."""
+    DEFAULT_CAP; `se._check_cap` holds it to the engine's hard cap."""
     cap = args.max_n
     env = os.environ.get("CDT_MAX_N")
     if cap is None and env is not None:
@@ -78,7 +76,7 @@ def _resolve_cap(args) -> int:
         cap = DEFAULT_CAP
     if cap < 1:
         raise ValueError(f"the enumeration cap must be at least 1, got {cap}")
-    return min(cap, se.HARD_CAP)
+    return cap
 
 
 # -- bounds -----------------------------------------------------------------
@@ -249,10 +247,11 @@ def _cmd_search(args) -> int:
     report = se.best_up_to(n_hi, args.dmax, args.omega, args.t, thread_count=args.threads)
     meets_lower = exact = meets_exact = None
     if args.omega >= 2 and args.dmax >= 1:
-        meets_lower = report.best_density == bd.lower_bound(args.t, args.dmax, args.omega)
-        ev = bd.exact_value(args.t, args.dmax, args.omega)
-        if ev is not None:
-            exact = ev.value
+        # the same registry-or-sandwich value that `cdt bounds` reports
+        rep = bd.bounds_report(args.t, args.dmax, args.omega)
+        meets_lower = report.best_density == rep.lower
+        exact = rep.exact
+        if exact is not None:
             meets_exact = report.best_density == exact
     shown = [lv for lv in report.levels if n_lo <= lv.n <= n_hi]
     if args.json:

@@ -305,8 +305,6 @@ def is_detachable(g: Graph, subset: int, t: int) -> bool:
     outside = g.vertex_mask() & ~subset
     for v in bits(subset):
         for u in bits(g.adj[v] & outside):
-            if t <= 2:
-                return False
             if _has_clique(g.adj, g.adj[v] & g.adj[u], t - 2):
                 return False
     return True

@@ -178,8 +178,6 @@ def _accept(n: int, adj: Sequence[int], leaf: bool = False) -> bool | tuple[Opti
     lab, _, gens = canon_raw(n, adj, colors)
     z = lab[n - 1]
     if z != w:
-        if not gens:
-            return False
         parent = _orbit_partition(n, gens)
         if parent[z] != parent[w]:
             return False

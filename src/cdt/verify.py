@@ -23,7 +23,7 @@ from .bounds import rho_monotone_check, turan_clique_count, turan_graph
 from .canon import canonical_form
 from .cliques import _is_perfect, _per_vertex_size_counts, _size_counts, clique_size_counts
 from .cliques import find_configurations, vertex_cover_count
-from .graphs import Graph, bits, complete_graph, empty_graph, path_graph, union
+from .graphs import Graph, bits, build_graph, complement, complete_graph, empty_graph, path_graph, union
 from .search import enumerate_all_up_to
 
 CEILING_PAIRS = ((5, 3), (5, 4), (6, 5), (6, 6))
@@ -213,14 +213,6 @@ _TRIANGLE = ((0, 1), (0, 2), (1, 2))
 _PATH4 = ((0, 1), (1, 2), (2, 3))
 
 
-def _complete_minus(m: int, edges) -> Graph:
-    adj = list(complete_graph(m).adj)
-    for u, v in edges:
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-    return Graph(m, adj)
-
-
 def verify_neighborhood_lemmas(r_values: Sequence[int]) -> list[Check]:
     """Reproduce the near-extremal neighborhood classifications by
     exhaustion.
@@ -282,7 +274,7 @@ def verify_neighborhood_lemmas(r_values: Sequence[int]) -> list[Check]:
 
     rows = []
     for r in r_values:
-        pair = [_complete_minus(r + 2, edges) for edges in (_TRIANGLE, _PATH4)]
+        pair = [complement(build_graph(r + 2, edges)) for edges in (_TRIANGLE, _PATH4)]
         rows.append(row("three-max-cliques", r, range(r, r + 3), three_max[r], pair))
 
         graphs = [union(complete_graph(3), empty_graph(m - 3)) for m in range(3, r + 3)]
@@ -294,7 +286,7 @@ def verify_neighborhood_lemmas(r_values: Sequence[int]) -> list[Check]:
             pair = [union(complete_graph(3), empty_graph(r - 2)), union(path_graph(4), empty_graph(r - 3))]
             rows.append(row("cover-window", r, range(r + 1, r + 2), cover_window[r], pair))
 
-            pair = [_complete_minus(r + 1, edges) for edges in (_TRIANGLE, _PATH4)]
+            pair = [complement(build_graph(r + 1, edges)) for edges in (_TRIANGLE, _PATH4)]
             rows.append(row("near-max-weight-window", r, range(1, r + 2), near_max[r], pair))
     return rows
 

@@ -13,8 +13,10 @@ from cdt import (
     beat,
     best_up_to,
     bt_graph,
+    build_graph,
     canonical_form,
     clique_size_counts,
+    complement,
     g_star,
     is_isomorphic,
     lower_bound,
@@ -25,7 +27,7 @@ from cdt import (
     upper_bound,
     verify_neighborhood_lemmas,
 )
-from cdt.verify import Sweep, _PATH4, _TRIANGLE, _complete_minus
+from cdt.verify import Sweep, _PATH4, _TRIANGLE
 
 
 def _crit(num: int, desc: str, budget_s: float):
@@ -193,7 +195,8 @@ def test_criterion_10_neighborhood_classifications():
     for r in (3, 4, 5):
         assert by_key[("three-max-cliques", f"r = {r}, n = {r}..{r + 2}")].ok
         # the two classified graphs are distinct, so the ok row found exactly them
-        assert not is_isomorphic(_complete_minus(r + 2, _TRIANGLE), _complete_minus(r + 2, _PATH4))
+        pair = [complement(build_graph(r + 2, edges)) for edges in (_TRIANGLE, _PATH4)]
+        assert not is_isomorphic(*pair)
     for r in (5, 6):
         assert by_key[("cover-window", f"r = {r}, n = {r + 1}")].ok
         assert by_key[("near-max-weight-window", f"r = {r}, n = 1..{r + 1}")].ok

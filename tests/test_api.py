@@ -106,3 +106,14 @@ def test_search_takes_only_the_prune_ceiling_from_bounds():
     # comparing a search with the bound registry is the caller's business
     from_bounds = {name for name in _package_imports("search") if name.split(".")[1] == "bounds"}
     assert from_bounds == {"cdt.bounds.turan_clique_count"}
+
+
+def test_cli_takes_only_the_report_and_the_constructions_from_bounds():
+    # `cdt search` and `cdt bounds` read the exact value by one rule, the
+    # registry row or the sandwich of `bounds_report`, never `exact_value`
+    # or `lower_bound` on their own
+    assert {name for name in _package_imports("cli") if name.split(".")[1] == "bounds"} == {"cdt.bounds"}
+    tree = ast.parse((ROOT / "src" / "cdt" / "cli.py").read_text())
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "bd"}
+    assert used == {"bounds_report", "turan_graph", "lower_bound_graph", "bt_graph", "g_star"}

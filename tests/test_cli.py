@@ -74,6 +74,13 @@ def test_bounds_json_conjecture_row(capsys):
     assert doc["outputs"]["conjecture"]["exact"] == "40/11"
 
 
+def test_bounds_human_conjecture_row(capsys):
+    code, out, _ = run(capsys, ["bounds", "-t", "3", "-d", "7", "-w", "3"])
+    assert code == 0
+    assert "  exact        unknown\n" in out
+    assert "  conjectured  40/11 (~3.63636)\n" in out
+
+
 def test_bounds_rationals_round_trip(capsys):
     from fractions import Fraction
 
@@ -180,6 +187,17 @@ def test_analyze_bt2(capsys, monkeypatch):
     assert "perfect vertices" in out
 
 
+def test_analyze_outside_the_class(capsys, monkeypatch):
+    # K_4 has maximum degree 3, above the bound 2
+    code, out, _ = run(
+        capsys, ["analyze", "-t", "3", "-d", "2", "-w", "3"],
+        stdin="C~\n", monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert "  not in the requested class\n" in out
+    assert "perfect vertices" not in out
+
+
 def test_analyze_skips_empty_lines_with_warning(capsys, monkeypatch):
     code, out, err = run(
         capsys, ["analyze", "-t", "3"],
@@ -253,6 +271,8 @@ def test_search_json(capsys):
     (["-n", "3", "-d", "62", "-w", "32"], (False, "620", False)),
     # the best density is over every level 1..8, not only the shown ones
     (["--n-range", "3:8", "-d", "5", "-w", "3"], (False, "15/8", True)),
+    # no registry row, but lower = upper = 0 pins the value, as `cdt bounds` says
+    (["-n", "7", "-d", "7", "-w", "2"], (True, "0", True)),
 ])
 def test_search_json_compares_with_the_bound_registry(capsys, argv, expected):
     code, out, _ = run(capsys, ["search", *argv, "-t", "3", "--json"])

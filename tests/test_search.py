@@ -13,24 +13,29 @@ from cdt import (
     beat,
     best_up_to,
     bt_density,
+    build_graph,
     canonical_form,
     clique_count,
     clique_number,
+    complement,
     enumerate_all_up_to,
     exact_value,
     graph6_decode,
     is_isomorphic,
     lower_bound,
     max_degree,
+    per_vertex_clique_counts,
     probe_configuration_average,
     turan_clique_count,
     turan_graph,
+    union,
     verify_neighborhood_lemmas,
 )
 
 from cdt.canon import canon_raw, refine_colors, _orbit_find, _orbit_partition
+from cdt.cliques import _per_vertex_size_counts, find_configurations
 from cdt.search import _accept, _count_of_size, _expand
-from cdt.verify import Sweep, _PATH4, _TRIANGLE, _complete_minus
+from cdt.verify import Sweep, _PATH4, _TRIANGLE
 from helpers import brute_classes, inline_pool_context, level_graphs
 
 
@@ -332,6 +337,11 @@ def test_max_density_triangle_free_degree_two():
     assert len(lv.witnesses) >= 1
 
 
+def test_level_outside_the_search_raises_key_error():
+    with pytest.raises(KeyError):
+        best_up_to(4, 2, 3, 3).level(9)
+
+
 def test_max_density_above_clique_bound_is_zero():
     lv = best_up_to(5, 4, 2, 3).level(5)
     assert lv.max_density == 0
@@ -484,6 +494,79 @@ def test_sweep_lists_each_graph_failing_equality_once(monkeypatch):
     assert equality.covered == want.covered
 
 
+@pytest.fixture(scope="module")
+def clean_rows():
+    """The rows of the unplanted sweeps, by n_max."""
+    return {n_max: Sweep(n_max).run().checks() for n_max in (6, 7)}
+
+
+def _assert_only_row_fails(key, want, got, faulted):
+    """Row ``key`` fails in ``got`` and names each graph of ``faulted``
+    once, over the same graphs; every other row is as in ``want``."""
+    assert want[key].ok and not got[key].ok
+    assert sorted(got[key].failures) == sorted(faulted)
+    assert got[key].covered == want[key].covered
+    others = [k for k in want if k != key]
+    assert [got[k] for k in others] == [want[k] for k in others]
+
+
+def test_sweep_lists_each_graph_failing_handshake_once(monkeypatch, clean_rows):
+    # a counter that loses vertex 0's 1-clique in every graph with an
+    # edge breaks the t = 1 sum, which no other row reads
+    faulted = set()
+
+    def miscount(n, adj):
+        weights = _per_vertex_size_counts(n, adj)
+        if any(adj):
+            weights[0][1] = 0
+            faulted.add(canonical_form(Graph(n, adj)))
+        return weights
+
+    monkeypatch.setattr("cdt.verify._per_vertex_size_counts", miscount)
+    _assert_only_row_fails("handshake", clean_rows[6], Sweep(6).run().checks(), faulted)
+
+
+def test_sweep_lists_each_graph_failing_heavy_neighbour_once(monkeypatch, clean_rows):
+    # with every neighbourhood hidden, each graph of the degree-5
+    # clique-4 class with a heavy vertex (on 7 triangles) fails
+    heavy = set()
+
+    def visit(g):
+        if g.n >= 3 and any(w[3] == 7 for w in per_vertex_clique_counts(g)):
+            heavy.add(canonical_form(g))
+
+    enumerate_all_up_to(6, 5, 4, visit)
+    monkeypatch.setattr("cdt.verify.bits", lambda mask: iter(()))
+    _assert_only_row_fails("heavy-neighbour", clean_rows[6], Sweep(6).run().checks(), heavy)
+
+
+def test_sweep_lists_each_graph_failing_configurations_once(monkeypatch, clean_rows):
+    # every configuration reported twice overlaps its copy: each graph
+    # with a configuration fails
+    found = set()
+
+    def twice(g, r):
+        cfgs = find_configurations(g, r)
+        if cfgs:
+            found.add(canonical_form(g))
+        return cfgs + cfgs
+
+    monkeypatch.setattr("cdt.verify.find_configurations", twice)
+    _assert_only_row_fails("configurations", clean_rows[7], Sweep(7).run().checks(), found)
+
+
+def test_sweep_lists_each_graph_failing_superadd_once(clean_rows):
+    # a maximum of -1 on 6 vertices is below every sum over x + y = 6,
+    # so each union of maximizers on x and 6 - x vertices fails
+    sweep = Sweep(6).run()
+    case = (5, 3, 3)
+    sweep.superadd[case][6] = -1
+    wit = sweep.superadd_witness
+    unions = {canonical_form(union(Graph(x, wit[case, x]), Graph(6 - x, wit[case, 6 - x])))
+              for x in (1, 2, 3)}
+    _assert_only_row_fails("superadd", clean_rows[6], sweep.checks(), unions)
+
+
 def test_sweep_keeps_zykov_maximizers_only_where_turan_has_the_clique():
     sweep = Sweep(6).run()
     for (n, omega, t), (best, wits) in sweep.zykov.items():
@@ -520,7 +603,8 @@ def test_neighborhood_lemmas_reject_small_r_before_enumerating(monkeypatch):
 def test_neighborhood_lemma_expected_sets_are_two_graphs():
     # the two constructions are distinct, so an ok row found exactly two graphs
     for m in range(4, 9):
-        assert not is_isomorphic(_complete_minus(m, _TRIANGLE), _complete_minus(m, _PATH4))
+        pair = [complement(build_graph(m, edges)) for edges in (_TRIANGLE, _PATH4)]
+        assert not is_isomorphic(*pair)
     [three_max, _] = verify_neighborhood_lemmas([4])
     assert three_max.name == "three-max-cliques" and three_max.ok
 
