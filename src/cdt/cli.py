@@ -1,10 +1,13 @@
 """Command-line surface: bounds tables, constructions, analysis of
 piped graphs, exhaustive search, and `cdt.verify` suite rows, one line each.
 
+`bounds -d/-w` and `search -n` take a value N or a range LO:HI; a range
+in `bounds` prints a CSV table, one row per (dmax, omega).
+
 Exit codes: 0 success, 1 a search worker failed, 2 invalid
 flags/parameters, 3 malformed graph6 input, 4 enumeration cap exceeded
-(raise it with --max-n or CDT_MAX_N, up to the hard cap), 5 failed
-verification check, 130 interrupted.  No exit shows a traceback.
+(raise it with --max-n, up to the hard cap), 5 failed verification
+check, 130 interrupted.  No exit shows a traceback.
 
 Every --json document carries schema_version and renders rationals as
 exact "p/q" strings with a non-authoritative decimal alongside.
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -38,7 +40,7 @@ EXIT_CAP = 4
 EXIT_CHECK_FAILED = 5
 EXIT_INTERRUPTED = 130
 
-DEFAULT_CAP = 11  # `cdt search` sizes beyond this ask for --max-n or CDT_MAX_N
+DEFAULT_CAP = 11  # `cdt search` sizes beyond this ask for --max-n
 
 
 def _rational(f: Fraction) -> dict:
@@ -62,30 +64,12 @@ def _document(command: str, inputs: dict, outputs: dict, witnesses: list[str],
     }
 
 
-def _resolve_cap(args) -> int:
-    """The enumeration cap of `cdt search`: --max-n over CDT_MAX_N over
-    DEFAULT_CAP; `se._check_cap` holds it to the engine's hard cap."""
-    cap = args.max_n
-    env = os.environ.get("CDT_MAX_N")
-    if cap is None and env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"CDT_MAX_N={env!r} is not an integer") from None
-    if cap is None:
-        cap = DEFAULT_CAP
-    if cap < 1:
-        raise ValueError(f"the enumeration cap must be at least 1, got {cap}")
-    return cap
-
-
 # -- bounds -----------------------------------------------------------------
 
 def _cmd_bounds(args) -> int:
     t0 = time.perf_counter()
-    if args.table:
-        d_lo, d_hi = args.delta_range
-        w_lo, w_hi = args.omega_range
+    (d_lo, d_hi), (w_lo, w_hi) = args.dmax, args.omega
+    if (d_lo, w_lo) != (d_hi, w_hi):
         # every row is built before any is written: a bad cell exits 2
         # with nothing on stdout
         rows = [["delta", "omega", "lower", "upper", "exact", "provenance"]]
@@ -99,7 +83,7 @@ def _cmd_bounds(args) -> int:
                 ])
         csv.writer(sys.stdout).writerows(rows)
         return EXIT_OK
-    rep = bd.bounds_report(args.t, args.dmax, args.omega)
+    rep = bd.bounds_report(args.t, d_lo, w_lo)
     if args.json:
         outputs = {
             "lower": _rational(rep.lower),
@@ -239,11 +223,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_search(args) -> int:
     t0 = time.perf_counter()
-    if args.n is not None:
-        n_lo = n_hi = args.n
-    else:
-        n_lo, n_hi = args.n_range
-    se._check_cap(n_hi, _resolve_cap(args))
+    n_lo, n_hi = args.n
+    if args.max_n < 1:
+        raise ValueError(f"the enumeration cap must be at least 1, got {args.max_n}")
+    se._check_cap(n_hi, args.max_n)
     report = se.best_up_to(n_hi, args.dmax, args.omega, args.t, thread_count=args.threads)
     meets_lower = exact = meets_exact = None
     if args.omega >= 2 and args.dmax >= 1:
@@ -312,8 +295,12 @@ def _cmd_verify(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 def _range_pair(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    a, b = int(lo), int(hi if hi else lo)
+    """`N` as (N, N), `LO:HI` as (LO, HI)."""
+    lo, sep, hi = text.partition(":")
+    try:
+        a, b = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or LO:HI, got {text!r}") from None
     if a > b:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return a, b
@@ -330,12 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="lower/upper/exact density bounds")
     p.add_argument("-t", type=int, required=True, help="clique size")
-    p.add_argument("-d", "--dmax", type=int, help="maximum degree bound")
-    p.add_argument("-w", "--omega", type=int, help="clique number bound")
+    p.add_argument("-d", "--dmax", type=_range_pair, required=True, help="maximum degree bound, N or LO:HI")
+    p.add_argument("-w", "--omega", type=_range_pair, required=True, help="clique number bound, N or LO:HI")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--table", action="store_true", help="CSV sweep over ranges")
-    p.add_argument("--delta-range", type=_range_pair, default=(3, 10))
-    p.add_argument("--omega-range", type=_range_pair, default=(3, 10))
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("construct", help="emit a named construction as graph6")
@@ -351,17 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("search", help="exhaustive per-size maxima over a class")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("-n", type=int)
-    group.add_argument("--n-range", type=_range_pair)
+    p.add_argument("-n", type=_range_pair, required=True, help="vertex count N, or the sizes LO:HI")
     p.add_argument("-d", "--dmax", type=int, required=True)
     p.add_argument("-w", "--omega", type=int, required=True)
     p.add_argument("-t", type=int, required=True)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-n", type=int,
-                   help=f"enumeration cap (beats CDT_MAX_N; default {DEFAULT_CAP},"
-                        f" at most {se.HARD_CAP})")
+    p.add_argument("--max-n", type=int, default=DEFAULT_CAP,
+                   help=f"enumeration cap (default {DEFAULT_CAP}, at most {se.HARD_CAP})")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -374,14 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bounds" and not args.table:
-        if args.dmax is None or args.omega is None:
-            parser.error("bounds needs -d and -w (or --table)")
     try:
         return args.func(args)
     except se.CapExceeded as exc:
-        print(f"error: {exc} (raise with --max-n or CDT_MAX_N, up to the hard cap"
-              f" {se.HARD_CAP})", file=sys.stderr)
+        print(f"error: {exc} (raise with --max-n, up to the hard cap {se.HARD_CAP})", file=sys.stderr)
         return EXIT_CAP
     except ValueError as exc:  # GraphError and Graph6Error included
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
 """The public surface of the package."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import cdt
+from cdt.cli import build_parser
 
 # A public name is added or removed only with a reason recorded in
 # CHANGES.md; update this snapshot in the same change.
@@ -31,6 +33,32 @@ def test_public_names_match_snapshot():
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Each subcommand's option strings (a positional by its name).  A flag is
+# added or removed only with a reason recorded in CHANGES.md; update this
+# snapshot in the same change.  Every value reaches `cdt` through one of
+# these flags, never through an environment variable.
+CLI_OPTIONS = {
+    "bounds": {"-t", "-d", "--dmax", "-w", "--omega", "--json"},
+    "construct": {"kind", "params"},
+    "analyze": {"-t", "-d", "--dmax", "-w", "--omega", "--json"},
+    "search": {"-n", "-d", "--dmax", "-w", "--omega", "-t", "--threads", "--json", "--max-n"},
+    "verify": {"suite"},
+}
+
+
+def test_cli_options_match_snapshot():
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {s for a in sub._actions for s in a.option_strings or [a.dest]} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert options == CLI_OPTIONS
+    tree = ast.parse((ROOT / "src" / "cdt" / "cli.py").read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not names & {"environ", "environb", "getenv", "getenvb"}
 
 
 def _module_level_definitions(tree: ast.Module):

@@ -93,15 +93,14 @@ def test_bounds_rationals_round_trip(capsys):
 
 
 def test_bounds_table_csv(capsys):
-    code, out, _ = run(
-        capsys,
-        ["bounds", "-t", "3", "--table", "--delta-range", "3:6", "--omega-range", "3:4"],
-    )
+    code, out, _ = run(capsys, ["bounds", "-t", "3", "-d", "3:6", "-w", "3:4"])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "delta,omega,lower,upper,exact,provenance"
     assert len(lines) == 1 + 4 * 2
     assert any(line.startswith("6,4,4,4,4,divisibility") for line in lines)
+    # a range prints the table even under --json
+    assert run(capsys, ["bounds", "-t", "3", "-d", "3:6", "-w", "3:4", "--json"])[:2] == (0, out)
 
 
 def test_bounds_beyond_64_vertices_prints_the_value(capsys):
@@ -110,17 +109,17 @@ def test_bounds_beyond_64_vertices_prints_the_value(capsys):
     assert code == 0
     assert "exact        2500/3 (~833.333)  [divisibility]" in out
     assert "witness" not in out
-    code, out, _ = run(capsys, ["bounds", "-t", "3", "--table", "--delta-range", "100", "--omega-range", "3"])
+    code, out, _ = run(capsys, ["bounds", "-t", "3", "-d", "99:100", "-w", "3"])
     assert code == 0
-    assert out.splitlines()[1] == "100,3,2500/3,2500/3,2500/3,divisibility"
+    assert out.splitlines()[2] == "100,3,2500/3,2500/3,2500/3,divisibility"
     # the divisibility witness T(64, 32) just fits
     code, out, _ = run(capsys, ["bounds", "-t", "3", "-d", "62", "-w", "32"])
     assert code == 0
     assert "exact        620  [divisibility]" in out
     assert f"  witness      {canonical_form(turan_graph(64, 32))}" in out.splitlines()
-    code, out, _ = run(capsys, ["bounds", "-t", "3", "--table", "--delta-range", "62", "--omega-range", "32"])
+    code, out, _ = run(capsys, ["bounds", "-t", "3", "-d", "62", "-w", "31:32"])
     assert code == 0
-    assert out.splitlines()[1] == "62,32,620,620,620,divisibility"
+    assert out.splitlines()[2] == "62,32,620,620,620,divisibility"
 
 
 def test_bounds_edges_exact(capsys):
@@ -130,9 +129,10 @@ def test_bounds_edges_exact(capsys):
 
 
 def test_bounds_missing_flags_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "-t", "3"])
-    assert exc.value.code == 2
+    for argv in (["bounds", "-t", "3"], ["bounds", "-t", "3", "-d", "5"], ["bounds", "-t", "3", "-w", "3:4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 # -- construct -----------------------------------------------------------
@@ -217,6 +217,13 @@ def test_analyze_malformed_line_exits_3(capsys, monkeypatch):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("bad", ["~~??????", "~?@@", "Bx"], ids=["8-byte-count", "n-65", "padding"])
+def test_analyze_rejected_graph6_exits_3_with_empty_stdout(capsys, monkeypatch, bad):
+    code, out, err = run(capsys, ["analyze"], stdin=f"Bw\n{bad}\n", monkeypatch=monkeypatch)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: line 2: ") and len(err.splitlines()) == 1
+
+
 def test_analyze_json_per_vertex_weights(capsys, monkeypatch):
     # T(8,4) in the degree-6 clique-5 class: every triangle weight is 12
     # and no vertex has the extremal T(6,4) neighborhood
@@ -270,7 +277,7 @@ def test_search_json(capsys):
     (["-n", "2", "-d", "1", "-w", "1"], (None, None, None)),
     (["-n", "3", "-d", "62", "-w", "32"], (False, "620", False)),
     # the best density is over every level 1..8, not only the shown ones
-    (["--n-range", "3:8", "-d", "5", "-w", "3"], (False, "15/8", True)),
+    (["-n", "3:8", "-d", "5", "-w", "3"], (False, "15/8", True)),
     # no registry row, but lower = upper = 0 pins the value, as `cdt bounds` says
     (["-n", "7", "-d", "7", "-w", "2"], (True, "0", True)),
 ])
@@ -283,7 +290,7 @@ def test_search_json_compares_with_the_bound_registry(capsys, argv, expected):
 
 
 def test_search_range_human(capsys):
-    code, out, _ = run(capsys, ["search", "--n-range", "3:5", "-d", "2",
+    code, out, _ = run(capsys, ["search", "-n", "3:5", "-d", "2",
                                 "-w", "3", "-t", "3"])
     assert code == 0
     assert "n=3" in out and "n=5" in out
@@ -295,15 +302,16 @@ def test_search_cap_exit_4(capsys):
     assert "cap" in err
     # one line, and it says how to raise the cap
     assert out == "" and len(err.splitlines()) == 1
-    assert err.startswith("error: ") and "--max-n" in err
-    assert "CDT_MAX_N" in err and "hard cap 16" in err
+    assert err.startswith("error: ")
+    assert err.endswith(" (raise with --max-n, up to the hard cap 16)\n")
 
 
-def test_search_cap_env_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("CDT_MAX_N", "4")
-    code, _, err = run(capsys, ["search", "-n", "5", "-d", "2", "-w", "3", "-t", "3"])
+def test_search_max_n_sets_the_cap(capsys):
+    code, _, err = run(capsys, ["search", "-n", "5", "-d", "2", "-w", "3", "-t", "3", "--max-n", "4"])
+    assert code == 4 and "cap 4" in err
+    # a range is capped by its top size
+    code, _, _ = run(capsys, ["search", "-n", "3:5", "-d", "2", "-w", "3", "-t", "3", "--max-n", "4"])
     assert code == 4
-    # flag beats the environment
     code, out, _ = run(capsys, ["search", "-n", "5", "-d", "2", "-w", "3",
                                 "-t", "3", "--max-n", "6"])
     assert code == 0
@@ -336,8 +344,8 @@ def test_search_trivial_class_max_zero(capsys):
 @pytest.mark.parametrize("argv", [
     "bounds -t 1 -d 5 -w 3",
     "bounds -t 3 -d 0 -w 3",
-    "bounds -t 3 --table --delta-range 0:2",
-    "bounds -t 3 --table --delta-range 1:3 --omega-range 1:3",
+    "bounds -t 3 -d 0:2 -w 3:10",
+    "bounds -t 3 -d 1:3 -w 1:3",
     "search -n 8 -d 5 -w 3 -t 1",
     "search -n 0 -d 5 -w 3 -t 3",
     "search -n 5 -d -1 -w 3 -t 3",
@@ -362,6 +370,20 @@ def test_search_invalid_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["search", "-d", "3", "-w", "3", "-t", "3"])  # no -n
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, bad", [
+    ("search -n x -d 3 -w 3 -t 3", "x"),
+    ("search -n 3:x -d 3 -w 3 -t 3", "3:x"),
+    ("bounds -t 3 -d 1.5 -w 3", "1.5"),
+    ("bounds -t 3 -d 3 -w 5:", "5:"),
+], ids=["n", "n-range", "d", "w-open-range"])
+def test_bad_range_exits_2_naming_the_syntax(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"expected N or LO:HI, got '{bad}'" in captured.err
 
 
 # -- verify ---------------------------------------------------------------------

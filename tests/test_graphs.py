@@ -44,6 +44,8 @@ def test_build_single_vertex():
 def test_build_cycle_every_degree_two():
     g = cycle_graph(5)
     assert all(g.degree(v) == 2 for v in range(5))
+    with pytest.raises(GraphError):
+        cycle_graph(2)
 
 
 def test_build_collapses_duplicate_edges():
@@ -64,6 +66,8 @@ def test_build_rejects_out_of_range_vertex():
 def test_build_rejects_capacity():
     with pytest.raises(GraphError):
         empty_graph(65)
+    with pytest.raises(GraphError):
+        build_graph(65, [])
 
 
 def test_constructor_checks_symmetry_and_reflexivity():
@@ -73,6 +77,18 @@ def test_constructor_checks_symmetry_and_reflexivity():
         Graph(2, [0b01, 0b10])  # self loops
     with pytest.raises(GraphError):
         Graph(1, [0b10])  # bit above n-1
+    with pytest.raises(GraphError):
+        Graph(2, [0])  # one row for two vertices
+
+
+def test_graph_edges_equality_hash_repr_and_immutability():
+    g = path_graph(3)
+    assert sorted(g.edges()) == [(0, 1), (1, 2)]
+    h = build_graph(3, [(2, 1), (1, 0)])
+    assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+    assert repr(g) == "Graph(n=3, edges=[(0, 1), (1, 2)])"
+    with pytest.raises(AttributeError):
+        g.n = 4
 
 
 def test_complement_of_triangle_is_empty():
@@ -247,6 +263,16 @@ def test_graph6_truncated_payload():
         graph6_decode("B")  # needs one edge character
     with pytest.raises(Graph6Error):
         graph6_decode("Bww")  # one too many
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("~~??????", "above 258047"),  # the 8-byte vertex count
+    ("~?@@", "count 65 exceeds capacity 64"),
+    ("Bx", "nonzero padding bits"),
+])
+def test_graph6_rejects_long_counts_excess_vertices_and_padding(text, reason):
+    with pytest.raises(Graph6Error, match=reason):
+        graph6_decode(text)
 
 
 def test_graph6_bad_characters():
