@@ -52,15 +52,12 @@ from .cliques import (
 )
 from .bounds import (
     BoundReport,
-    Decomposition,
     ExactValue,
-    TuranShape,
     asymptotic_leading,
     bounds_report,
     bt_density,
     bt_graph,
     conjectured_value,
-    decompose,
     exact_value,
     g_star,
     lower_bound,
@@ -69,7 +66,6 @@ from .bounds import (
     turan_clique_count,
     turan_density,
     turan_graph,
-    turan_shape,
     upper_bound,
 )
 from .search import (

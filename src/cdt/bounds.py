@@ -19,24 +19,14 @@ from .graphs import MAX_VERTICES, Graph, GraphError, build_graph, join, max_degr
 
 # -- Turan graphs -------------------------------------------------------
 
-@dataclass(frozen=True)
-class TuranShape:
-    """Part structure of the Turan graph: c parts of size q+1 and
-    r - c parts of size q, where n = q*r + c."""
-
-    n: int
-    r: int
-    q: int
-    c: int
-
-
-def turan_shape(n: int, r: int) -> TuranShape:
+def _turan_parts(n: int, r: int) -> tuple[int, int]:
+    """(q, c) with n = q*r + c: T(n, r) has c parts of size q+1 and
+    r - c parts of size q."""
     if r < 1:
         raise ValueError("Turan graphs need at least one part")
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    q, c = divmod(n, r)
-    return TuranShape(n, r, q, c)
+    return divmod(n, r)
 
 
 def turan_graph(n: int, r: int) -> Graph:
@@ -44,8 +34,8 @@ def turan_graph(n: int, r: int) -> Graph:
 
     The c larger parts come first; vertices are numbered part by part.
     """
-    shape = turan_shape(n, r)
-    sizes = [shape.q + 1] * shape.c + [shape.q] * (shape.r - shape.c)
+    q, c = _turan_parts(n, r)
+    sizes = [q + 1] * c + [q] * (r - c)
     part_of = []
     for i, s in enumerate(sizes):
         part_of.extend([i] * s)
@@ -65,8 +55,7 @@ def turan_clique_count(n: int, r: int, t: int) -> int:
     """
     if t < 0:
         raise ValueError("clique size must be non-negative")
-    shape = turan_shape(n, r)
-    q, c, r = shape.q, shape.c, shape.r
+    q, c = _turan_parts(n, r)
     return sum(comb(c, k) * comb(r - c, t - k) * (q + 1) ** k * q ** (t - k)
                for k in range(min(c, t) + 1))
 
@@ -77,26 +66,7 @@ def turan_density(n: int, r: int, t: int) -> Fraction:
     return Fraction(turan_clique_count(n, r, t), n)
 
 
-# -- the degree decomposition and the bound pair ------------------------
-
-@dataclass(frozen=True)
-class Decomposition:
-    """dmax = a*(omega - 1) + b with 0 <= b < omega - 1."""
-
-    dmax: int
-    omega: int
-    a: int
-    b: int
-
-
-def decompose(dmax: int, omega: int) -> Decomposition:
-    if omega < 2:
-        raise ValueError("clique bound must be at least 2")
-    if dmax < 0:
-        raise ValueError("degree bound must be non-negative")
-    a, b = divmod(dmax, omega - 1)
-    return Decomposition(dmax, omega, a, b)
-
+# -- the bound pair -------------------------------------------------------
 
 def effective_omega(dmax: int, omega: int) -> int:
     """Clique bounds above dmax + 1 are inactive: no graph with maximum
@@ -104,14 +74,21 @@ def effective_omega(dmax: int, omega: int) -> int:
     return min(omega, dmax + 1)
 
 
+def _lower_bound_order(dmax: int, omega: int) -> int:
+    """dmax + floor(dmax / (omega - 1)): the most vertices a Turan graph
+    with omega parts can have while its maximum degree stays dmax."""
+    return dmax + dmax // (omega - 1)
+
+
 def lower_bound_graph(dmax: int, omega: int) -> Graph:
-    """The witness construction T(dmax + a, omega) for the lower bound."""
+    """The witness construction T(dmax + floor(dmax / (omega - 1)), omega)
+    for the lower bound."""
     if dmax < 1:
         raise ValueError("degree bound must be at least 1")
     omega = effective_omega(dmax, omega)
     if omega < 2:
         raise ValueError("clique bound must be at least 2")
-    n = dmax + decompose(dmax, omega).a
+    n = _lower_bound_order(dmax, omega)
     g = turan_graph(n, omega)
     assert max_degree(g) == dmax
     # omega distinct sets {v} + non-neighbours of v, of total size n, partition
@@ -125,8 +102,7 @@ def lower_bound(t: int, dmax: int, omega: int) -> Fraction:
     """t-density of the lower bound graph; always attainable."""
     _check_bound_args(t, dmax, omega)
     omega = effective_omega(dmax, omega)
-    a = decompose(dmax, omega).a
-    return turan_density(dmax + a, omega, t)
+    return turan_density(_lower_bound_order(dmax, omega), omega, t)
 
 
 def upper_bound(t: int, dmax: int, omega: int) -> Fraction:
@@ -141,6 +117,7 @@ def asymptotic_leading(t: int, dmax: int, omega: int) -> Fraction:
     """Leading term (1/t) C(omega-1, t-1) (dmax/(omega-1))^(t-1): both
     bounds approach it as dmax grows with t, omega fixed."""
     _check_bound_args(t, dmax, omega)
+    omega = effective_omega(dmax, omega)
     return Fraction(comb(omega - 1, t - 1), t) * Fraction(dmax, omega - 1) ** (t - 1)
 
 
@@ -232,26 +209,24 @@ class ExactValue:
     provenance: str
 
 
-def _turan_witness(n: int, r: int) -> Optional[Graph]:
-    """T(n, r), or None when it exceeds the 64-vertex capacity."""
-    return turan_graph(n, r) if n <= MAX_VERTICES else None
-
-
 def _lower_bound_witness(dmax: int, omega: int) -> Optional[Graph]:
     """`lower_bound_graph`, or None when it exceeds the 64-vertex capacity."""
-    n = dmax + decompose(dmax, omega).a
-    return lower_bound_graph(dmax, omega) if n <= MAX_VERTICES else None
+    if _lower_bound_order(dmax, omega) > MAX_VERTICES:
+        return None
+    return lower_bound_graph(dmax, omega)
 
 
 def exact_value(t: int, dmax: int, omega: int) -> Optional[ExactValue]:
     """Proven optimum density for the triple, or None.
 
-    Rows: divisible degree bound (2 <= t <= omega); edges (t = 2), where
-    the handshake lemma gives k_2 = (sum of degrees)/2 <= n*dmax/2 and
-    K_{dmax,dmax} = T(2 dmax, 2) attains dmax/2; degree equal to clique
-    bound (3 <= t <= omega); degree one above clique bound for the two
-    largest clique sizes (with their range conditions); and the three
-    individually proven triples (3,5,3), (3,5,4), (3,6,5).
+    Rows, each naming the bound it makes tight: the lower bound for a
+    divisible degree bound (2 <= t <= omega), for degree equal to clique
+    bound (3 <= t <= omega) and for degree one above clique bound at the
+    two largest clique sizes (with their range conditions); the upper
+    bound for edges (t = 2), where the handshake lemma gives
+    k_2 = (sum of degrees)/2 <= n*dmax/2 and K_{dmax,dmax} = T(2 dmax, 2)
+    attains dmax/2; and the three individually proven triples (3,5,3),
+    (3,5,4), (3,6,5).
 
     The witness is None when it would exceed the 64-vertex capacity.
     """
@@ -262,31 +237,19 @@ def exact_value(t: int, dmax: int, omega: int) -> Optional[ExactValue]:
     omega = effective_omega(dmax, omega)
 
     if t <= omega and dmax % (omega - 1) == 0:
-        return ExactValue(
-            lower_bound(t, dmax, omega),
-            _lower_bound_witness(dmax, omega),
-            PROVENANCE_DIVISIBILITY,
-        )
+        provenance = PROVENANCE_DIVISIBILITY
+    elif dmax == omega and 3 <= t <= omega:
+        provenance = PROVENANCE_DELTA_EQ_OMEGA
+    elif dmax == omega + 1 and (t == omega >= 4 or t == omega - 1 >= 4):
+        provenance = PROVENANCE_DELTA_EQ_OMEGA_PLUS_ONE
+    else:
+        provenance = None
+    if provenance is not None:
+        return ExactValue(lower_bound(t, dmax, omega), _lower_bound_witness(dmax, omega), provenance)
 
     if t == 2:
-        return ExactValue(Fraction(dmax, 2), _turan_witness(2 * dmax, 2), PROVENANCE_HANDSHAKE)
-
-    if dmax == omega and 3 <= t <= omega:
-        r = omega
-        return ExactValue(
-            turan_density(r + 1, r, t),
-            _turan_witness(r + 1, r),
-            PROVENANCE_DELTA_EQ_OMEGA,
-        )
-
-    if dmax == omega + 1:
-        r = omega
-        if (t == r and r >= 4) or (t == r - 1 and r >= 5):
-            return ExactValue(
-                turan_density(r + 2, r, t),
-                _turan_witness(r + 2, r),
-                PROVENANCE_DELTA_EQ_OMEGA_PLUS_ONE,
-            )
+        witness = turan_graph(2 * dmax, 2) if 2 * dmax <= MAX_VERTICES else None
+        return ExactValue(upper_bound(t, dmax, omega), witness, PROVENANCE_HANDSHAKE)
 
     if (t, dmax, omega) == (3, 5, 3):
         return ExactValue(Fraction(15, 8), bt_graph(2), PROVENANCE_SPECIAL)

@@ -227,6 +227,8 @@ def _cmd_search(args) -> int:
     if args.max_n < 1:
         raise ValueError(f"the enumeration cap must be at least 1, got {args.max_n}")
     se._check_cap(n_hi, args.max_n)
+    if n_lo < 1:
+        raise ValueError("need at least one vertex")
     report = se.best_up_to(n_hi, args.dmax, args.omega, args.t, thread_count=args.threads)
     meets_lower = exact = meets_exact = None
     if args.omega >= 2 and args.dmax >= 1:

@@ -12,18 +12,18 @@ from cdt.cli import build_parser
 # CHANGES.md; update this snapshot in the same change.
 PUBLIC_NAMES = {
     "BeatResult", "BorderProfile", "BoundReport", "CapExceeded", "ConfigurationFinding",
-    "Decomposition", "ExactValue", "Graph", "Graph6Error", "GraphError", "LevelResult", "SearchReport",
-    "TuranShape", "asymptotic_leading", "automorphism_generators", "automorphism_orbits",
+    "ExactValue", "Graph", "Graph6Error", "GraphError", "LevelResult", "SearchReport",
+    "asymptotic_leading", "automorphism_generators", "automorphism_orbits",
     "averaging_bound", "beat", "best_up_to", "border_profile", "bounds_report", "bt_density",
     "bt_graph", "build_graph", "canonical_form", "canonical_graph", "capped_weight_bound",
     "clique_count", "clique_number", "clique_size_counts", "complement", "complete_graph",
-    "conjectured_value", "cycle_graph", "decompose", "density", "detach_sufficient",
+    "conjectured_value", "cycle_graph", "density", "detach_sufficient",
     "edge_weight", "empty_graph", "enumerate_all_up_to", "exact_value",
     "find_configurations", "g_star", "graph6_decode", "graph6_encode", "in_class", "induced",
     "is_detachable", "is_isomorphic", "is_perfect_vertex", "join", "lower_bound",
     "lower_bound_graph", "max_degree", "neighborhood", "path_graph", "per_vertex_clique_counts",
     "probe_configuration_average", "relabel", "rho_monotone_check",
-    "turan_clique_count", "turan_density", "turan_graph", "turan_shape", "union", "upper_bound",
+    "turan_clique_count", "turan_density", "turan_graph", "union", "upper_bound",
     "verify_neighborhood_lemmas", "vertex_cover_count", "vertex_weight",
 }
 

@@ -13,9 +13,9 @@ from cdt import (
     clique_count,
     clique_number,
     clique_size_counts,
+    complement,
     complete_graph,
     conjectured_value,
-    decompose,
     density,
     exact_value,
     g_star,
@@ -27,19 +27,58 @@ from cdt import (
     turan_clique_count,
     turan_density,
     turan_graph,
-    turan_shape,
     upper_bound,
 )
 
 
 # -- shapes and closed form ------------------------------------------------
 
-def test_turan_shape_balances_parts():
-    s = turan_shape(8, 4)
-    assert (s.q, s.c) == (2, 0)
-    s = turan_shape(7, 3)
-    assert (s.q, s.c) == (2, 1)
-    assert s.n == s.q * s.r + s.c
+def _components(g):
+    """Vertex sets of g's connected components, as bitsets, in order of
+    their smallest vertex."""
+    seen, comps = 0, []
+    for v in range(g.n):
+        if seen >> v & 1:
+            continue
+        comp, frontier = 0, 1 << v
+        while frontier:
+            comp |= frontier
+            reach = 0
+            for u in range(g.n):
+                if frontier >> u & 1:
+                    reach |= g.adj[u]
+            frontier = reach & ~comp
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def test_turan_graph_parts_are_balanced():
+    # T(n, r) is complete multipartite: its complement is a disjoint union
+    # of cliques, one per part
+    for n in range(0, 13):
+        for r in range(1, 9):
+            co = complement(turan_graph(n, r))
+            parts = _components(co)
+            for p in parts:
+                assert all(co.adj[v] | 1 << v == p for v in range(n) if p >> v & 1)
+            sizes = [p.bit_count() for p in parts]
+            q, c = divmod(n, r)
+            # vertices are numbered part by part, the c larger parts first
+            assert sizes == [s for s in [q + 1] * c + [q] * (r - c) if s]
+    assert [p.bit_count() for p in _components(complement(turan_graph(7, 3)))] == [3, 2, 2]
+    assert [p.bit_count() for p in _components(complement(turan_graph(8, 4)))] == [2, 2, 2, 2]
+
+
+def test_turan_constructions_reject_bad_shapes():
+    for call in (lambda: turan_graph(3, 0), lambda: turan_clique_count(3, 0, 2)):
+        with pytest.raises(ValueError, match="Turan graphs need at least one part"):
+            call()
+    for call in (lambda: turan_graph(-1, 2), lambda: turan_clique_count(-1, 2, 2)):
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            call()
+    with pytest.raises(ValueError, match="clique size must be non-negative"):
+        turan_clique_count(3, 0, -1)
 
 
 def test_turan_graph_extremes():
@@ -68,27 +107,6 @@ def test_closed_form_conventions():
     assert turan_clique_count(6, 3, 4) == 0  # more vertices than parts
 
 
-# -- decomposition -----------------------------------------------------------
-
-def test_decompose_examples():
-    assert (decompose(5, 3).a, decompose(5, 3).b) == (2, 1)
-    assert (decompose(6, 4).a, decompose(6, 4).b) == (2, 0)
-    assert (decompose(7, 3).a, decompose(7, 3).b) == (3, 1)
-
-
-def test_decompose_identity_and_range():
-    for omega in range(2, 9):
-        for dmax in range(0, 25):
-            d = decompose(dmax, omega)
-            assert d.a * (omega - 1) + d.b == dmax
-            assert 0 <= d.b < omega - 1 or (omega == 2 and d.b == 0)
-
-
-def test_decompose_rejects_small_omega():
-    with pytest.raises(ValueError):
-        decompose(5, 1)
-
-
 # -- lower bound graph ---------------------------------------------------------
 
 def test_lower_bound_graph_examples():
@@ -96,6 +114,17 @@ def test_lower_bound_graph_examples():
     assert is_isomorphic(lower_bound_graph(6, 4), turan_graph(8, 4))
     for omega in range(2, 7):
         assert is_isomorphic(lower_bound_graph(omega - 1, omega), complete_graph(omega))
+
+
+def test_lower_bound_graph_order():
+    # T(dmax + floor(dmax / (omega - 1)), omega): the largest Turan graph
+    # with omega parts and maximum degree dmax
+    for dmax in range(1, 31):
+        for omega in range(2, dmax + 2):
+            g = lower_bound_graph(dmax, omega)
+            assert g.n == dmax + dmax // (omega - 1)
+            assert max_degree(g) == dmax
+            assert max_degree(turan_graph(g.n + 1, omega)) > dmax
 
 
 def test_lower_bound_graph_blames_the_degree_bound():
@@ -109,7 +138,7 @@ def test_lower_bound_graph_blames_the_degree_bound():
 def test_lower_bound_graph_attains_degree_and_density():
     for dmax in range(1, 20):
         for omega in range(2, dmax + 2):
-            if dmax + decompose(dmax, omega).a > 20:
+            if dmax + dmax // (omega - 1) > 20:
                 continue
             g = lower_bound_graph(dmax, omega)
             assert max_degree(g) == dmax
@@ -159,6 +188,16 @@ def test_asymptotic_leading_formulas():
     for dmax in range(2, 30):
         assert asymptotic_leading(3, dmax, 3) == Fraction(dmax * dmax, 12)
         assert asymptotic_leading(2, dmax, 5) == Fraction(dmax, 2)
+
+
+def test_asymptotic_leading_clamps_inactive_clique_bound():
+    assert asymptotic_leading(3, 4, 9) == asymptotic_leading(3, 4, 5) == 2
+    assert asymptotic_leading(3, 2, 10) == Fraction(1, 3) == lower_bound(3, 2, 10)
+    for t in range(2, 7):
+        for dmax in range(1, 13):
+            for omega in range(2, 17):
+                assert asymptotic_leading(t, dmax, omega) == asymptotic_leading(
+                    t, dmax, min(omega, dmax + 1))
 
 
 def test_bound_ratio_approaches_one():
@@ -300,6 +339,29 @@ def test_registry_witness_density_matches_value():
         assert density(ev.witness, t) == ev.value
         assert max_degree(ev.witness) <= dmax
         assert clique_number(ev.witness) <= omega
+
+
+def test_registry_rows_are_the_bound_they_make_tight():
+    lower_rows = {"divisibility", "delta-eq-omega", "delta-eq-omega-plus-one"}
+    graphs = {}
+    for dmax in range(1, 41):
+        for omega in range(2, 42):
+            order = dmax + dmax // (min(omega, dmax + 1) - 1)
+            for t in range(2, 9):
+                ev = exact_value(t, dmax, omega)
+                if ev is None or ev.provenance == "special-triple":
+                    continue
+                if ev.provenance == "handshake":
+                    assert ev.value == upper_bound(2, dmax, omega)
+                    continue
+                assert ev.provenance in lower_rows
+                assert ev.value == lower_bound(t, dmax, omega)
+                if order > 64:
+                    assert ev.witness is None
+                else:
+                    if (dmax, omega) not in graphs:
+                        graphs[dmax, omega] = lower_bound_graph(dmax, omega)
+                    assert ev.witness == graphs[dmax, omega]
 
 
 def test_conjectured_values():

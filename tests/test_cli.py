@@ -348,6 +348,8 @@ def test_search_trivial_class_max_zero(capsys):
     "bounds -t 3 -d 1:3 -w 1:3",
     "search -n 8 -d 5 -w 3 -t 1",
     "search -n 0 -d 5 -w 3 -t 3",
+    "search -n 0:3 -d 3 -w 3 -t 3",
+    "search -n=-2:3 -d 3 -w 3 -t 3",
     "search -n 5 -d -1 -w 3 -t 3",
     "search -n 5 -d 3 -w 3 -t 3 --max-n -2",
     "search -n 5 -d 3 -w 3 -t 3 --threads 0",

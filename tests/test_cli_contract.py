@@ -3,9 +3,11 @@
 Every invocation of `bounds`, `construct`, `search` (n <= 6) and
 `analyze` (a few stdin lines) must end with an exit code in
 {0, 2, 3, 4, 5} and never show a traceback; a rejected parameter
-(exit 2) leaves stdout empty.  `bounds -d/-w` and `search -n` are
-drawn as a value N or a range LO:HI.  `verify` is left out: one
-call takes seconds.
+(exit 2) leaves stdout empty, and a `search` that exits 0 had at least
+one vertex at the low end of its size range.  `bounds -d/-w` and
+`search -n` are drawn as a value N or a range LO:HI; `-n` is also
+drawn joined as `-n=LO:HI`, the one spelling that lets a negative LO
+past argparse.  `verify` is left out: one call takes seconds.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cdt.cli import main
+from cdt.cli import build_parser, main
 
 CONTRACT = {0, 2, 3, 4, 5}
 
@@ -65,7 +67,8 @@ construct_argv = _argv(
     st.lists(st.integers(-2, 7).map(str), max_size=3),
 )
 search_argv = _argv(
-    ["search"], _value_or_range(6).map(lambda n: ["-n", str(n)]),
+    ["search"],
+    _value_or_range(6).flatmap(lambda n: st.sampled_from([["-n", str(n)], [f"-n={n}"]])),
     st.integers(-1, 7).map(lambda v: ["-d", str(v)]),
     st.integers(-1, 8).map(lambda v: ["-w", str(v)]),
     st.integers(-1, 8).map(lambda v: ["-t", str(v)]),
@@ -105,6 +108,7 @@ def _check(argv, stdin_text=""):
         assert out == "", (argv, out)
         if err.startswith("error: "):
             assert err.count("\n") == 1, (argv, err)
+    return code
 
 
 contract = settings(
@@ -122,7 +126,8 @@ def test_bounds_and_construct_keep_the_exit_code_contract(argv):
 @contract
 @given(search_argv)
 def test_search_keeps_the_exit_code_contract(argv):
-    _check(argv)
+    if _check(argv) == 0:
+        assert build_parser().parse_args(argv).n[0] >= 1, argv
 
 
 @contract
